@@ -109,9 +109,6 @@ type Conf struct {
 	alertThreshold int
 	alertFired     bool // guardedby: mu
 
-	trace    TraceFunc
-	traceSeq int // guardedby: mu
-
 	adaptiveEnabled bool
 
 	profiling bool
@@ -166,7 +163,6 @@ func newConf(spec Spec, ctrl *core.Controller, o options) *Conf {
 		lastValue:      sanitizeKnob(0, ctrl.Conf()),
 		alert:          o.alert,
 		alertThreshold: o.alertThreshold,
-		trace:          o.trace,
 	}
 	return c
 }
@@ -226,7 +222,6 @@ func (c *Conf) valueLocked() float64 {
 	c.lastValue = sanitizeKnob(c.lastValue, c.ctrl.Update(c.pending))
 	c.hasPending = false
 	c.maybeAlertLocked()
-	c.emitTraceLocked(0)
 	return c.lastValue
 }
 
@@ -338,14 +333,4 @@ func (c *Conf) CollectedProfile() *Profile {
 		p.Add(s.Setting, s.Samples...)
 	}
 	return p
-}
-
-// setInteraction is called by the Manager when the population of a
-// super-hard metric changes.
-func (c *Conf) setInteraction(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ctrl != nil {
-		c.ctrl.SetInteraction(n)
-	}
 }

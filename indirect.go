@@ -115,7 +115,6 @@ func (ic *IndirectConf) Value() float64 {
 	// transduction holds the previous setting instead of poisoning the knob.
 	c.lastValue = sanitizeKnob(c.lastValue, ic.transducer.Transduce(desired))
 	c.maybeAlertLocked()
-	c.emitTraceLocked(ic.pendingDeputy)
 	return c.lastValue
 }
 

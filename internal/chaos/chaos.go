@@ -49,10 +49,11 @@ type Env struct {
 }
 
 // SurgeFactor returns the current workload multiplier (1 outside any
-// WorkloadSurge window). Drivers multiply their burst or arrival volume by
-// it, which keeps surge injection substrate-agnostic.
+// WorkloadSurge window, and 1 on a nil Env: a run with no plan armed).
+// Drivers multiply their burst or arrival volume by it, which keeps surge
+// injection substrate-agnostic.
 func (e *Env) SurgeFactor() float64 {
-	if e.surge <= 0 {
+	if e == nil || e.surge <= 0 {
 		return 1
 	}
 	return e.surge

@@ -366,16 +366,6 @@ func selectBit(t *TriedSet, j int) int {
 // member's rendezvous hash stream.
 const goldenGamma = 0x9e3779b97f4a7c15
 
-// rendezvous scores (key, member) with a splitmix64-style mix. Each member
-// hashes every key independently, so removing a member reassigns only the
-// keys it owned — the property that keeps affinity stable under loss. The
-// routing path uses the salted form (member half precomputed at Add time);
-// this two-argument form is the reference the salt-pinning test compares
-// against.
-func rendezvous(key uint64, id int) uint64 {
-	return mix64(key ^ mix64(uint64(id)+goldenGamma))
-}
-
 // mix64 is the splitmix64 finalizer: a fast, well-distributed integer mix
 // with no allocation and no table state.
 func mix64(x uint64) uint64 {

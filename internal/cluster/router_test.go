@@ -2,6 +2,16 @@ package cluster
 
 import "testing"
 
+// rendezvous scores (key, member) with a splitmix64-style mix. Each member
+// hashes every key independently, so removing a member reassigns only the
+// keys it owned — the property that keeps affinity stable under loss. The
+// routing path uses the salted form (member half precomputed at Add time);
+// this two-argument form is the reference the salt-pinning test compares
+// against.
+func rendezvous(key uint64, id int) uint64 {
+	return mix64(key ^ mix64(uint64(id)+goldenGamma))
+}
+
 // fake is a minimal Instance for router and fleet tests.
 type fake struct {
 	id    int

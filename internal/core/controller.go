@@ -72,7 +72,6 @@ type Controller struct {
 
 	conf      float64 // current (continuous) configuration value — clampedby: clamp
 	adaptive  *AdaptiveModel
-	lastErr   float64
 	lastPole  float64
 	updates   int
 	saturated int // consecutive updates pinned at a bound with persistent error
@@ -230,7 +229,6 @@ func (c *Controller) Update(measured float64) float64 {
 	}
 
 	c.conf = next
-	c.lastErr = e
 	c.lastPole = pole
 	c.updates++
 	if c.log != nil {
@@ -317,9 +315,6 @@ func (c *Controller) Lambda() float64 { return c.lambda }
 
 // Model returns the fitted plant model.
 func (c *Controller) Model() Model { return c.model }
-
-// LastError returns the most recent setpoint error.
-func (c *Controller) LastError() float64 { return c.lastErr }
 
 // Updates returns the number of Update calls so far.
 func (c *Controller) Updates() int { return c.updates }

@@ -30,13 +30,7 @@ type PoleAblationRow struct {
 // including the automatically derived value, showing the §5.1 rule lands in
 // the stable-and-responsive region without user tuning.
 func AblationPoles() []PoleAblationRow {
-	profile := ProfileHB3813()
-	model, err := profile.Fit()
-	if err != nil {
-		panic(err)
-	}
-	lambda := profile.Lambda()
-	auto := core.PoleFromDelta(profile.Delta())
+	model, auto, lambda := hb3813Synthesis()
 	poles := []float64{0, 0.25, 0.5, auto, 0.75, 0.9, 0.99}
 	return engine.MapSlice(poles, func(pole float64) PoleAblationRow {
 		r := runAblationCore(model, pole, lambda)
@@ -63,16 +57,47 @@ func AblationPoles() []PoleAblationRow {
 // margin sweeps share: both include the automatically derived (pole, λ)
 // point, which therefore simulates once.
 func runAblationCore(model core.Model, pole, lambda float64) Result {
-	return memoResult("HB3813", fmt.Sprintf("pole=%g lambda=%g", pole, lambda),
+	return memoKeyed("HB3813", fmt.Sprintf("pole=%g lambda=%g", pole, lambda),
 		"ablation-core", 0, func() Result {
-			ctrl, err := core.NewController(model, pole, lambda,
-				core.Goal{Metric: "memory", Target: float64(rpcMemoryGoal), Hard: true},
-				core.Options{Min: 0, Max: 1e9})
-			if err != nil {
-				panic(err)
-			}
-			return runHB3813Core(ctrl)
+			ctrl := hb3813CoreController(model, pole, lambda)
+			return runHB3813(SmartConf(), hb3813Standard(), func(r *rpcRig) {
+				r.decide(func(perf, deputy float64) float64 {
+					ctrl.SetConf(deputy) // full SmartConf semantics: deputy reset per §5.3
+					return ctrl.Update(perf)
+				})
+			})
 		})
+}
+
+// hb3813Synthesis is what §5 derives from the HB3813 profile: the fitted
+// model, the automatic pole and the virtual-goal margin λ.
+func hb3813Synthesis() (model core.Model, pole, lambda float64) {
+	profile := ProfileHB3813()
+	model, err := profile.Fit()
+	if err != nil {
+		panic(err)
+	}
+	return model, core.PoleFromDelta(profile.Delta()), profile.Lambda()
+}
+
+// hb3813CoreController builds a core controller for the HB3813 memory goal
+// with an explicit pole and λ.
+func hb3813CoreController(model core.Model, pole, lambda float64) *core.Controller {
+	ctrl, err := core.NewController(model, pole, lambda,
+		core.Goal{Metric: "memory", Target: float64(rpcMemoryGoal), Hard: true},
+		core.Options{Min: 0, Max: 1e9})
+	if err != nil {
+		panic(err)
+	}
+	return ctrl
+}
+
+// autoMark points at the row the paper's rule derived automatically.
+func autoMark(auto bool, rule string) string {
+	if auto {
+		return rule
+	}
+	return ""
 }
 
 // RenderAblationPoles formats the sweep.
@@ -81,16 +106,8 @@ func RenderAblationPoles(rows []PoleAblationRow) string {
 	fmt.Fprintln(&b, "Pole ablation (HB3813): responsiveness and safety across the pole range")
 	fmt.Fprintf(&b, "%8s %6s %8s %12s %14s\n", "pole", "auto", "OK?", "ops/s", "convergence")
 	for _, r := range rows {
-		mark := ""
-		if r.Auto {
-			mark = "←§5.1"
-		}
-		ok := "ok"
-		if !r.ConstraintMet {
-			ok = "X"
-		}
 		fmt.Fprintf(&b, "%8.3f %6s %8s %12.2f %13.0fs\n",
-			r.Pole, mark, ok, r.Throughput, r.Convergence.Seconds())
+			r.Pole, autoMark(r.Auto, "←§5.1"), okMark(r.ConstraintMet), r.Throughput, r.Convergence.Seconds())
 	}
 	return b.String()
 }
@@ -108,23 +125,12 @@ type MarginAblationRow struct {
 // including the automatically measured value: zero margin risks the
 // constraint; excess margin buys nothing and costs throughput.
 func AblationVirtualGoalMargin() []MarginAblationRow {
-	profile := ProfileHB3813()
-	model, err := profile.Fit()
-	if err != nil {
-		panic(err)
-	}
-	autoLambda := profile.Lambda()
-	pole := core.PoleFromDelta(profile.Delta())
+	model, pole, autoLambda := hb3813Synthesis()
 	lambdas := []float64{0, 0.02, autoLambda, 0.15, 0.3}
 	return engine.MapSlice(lambdas, func(lambda float64) MarginAblationRow {
 		// The virtual target is fixed at construction ((1-λ)·goal), so a
 		// fresh controller reports it even when the run itself is a cache hit.
-		ctrl, err := core.NewController(model, pole, lambda,
-			core.Goal{Metric: "memory", Target: float64(rpcMemoryGoal), Hard: true},
-			core.Options{Min: 0, Max: 1e9})
-		if err != nil {
-			panic(err)
-		}
+		ctrl := hb3813CoreController(model, pole, lambda)
 		r := runAblationCore(model, pole, lambda)
 		return MarginAblationRow{
 			Lambda:        lambda,
@@ -142,16 +148,8 @@ func RenderAblationMargins(rows []MarginAblationRow) string {
 	fmt.Fprintln(&b, "Virtual-goal-margin ablation (HB3813): safety vs utilization across λ")
 	fmt.Fprintf(&b, "%8s %6s %14s %8s %12s\n", "λ", "auto", "virtual goal", "OK?", "ops/s")
 	for _, r := range rows {
-		mark := ""
-		if r.Auto {
-			mark = "←§5.2"
-		}
-		ok := "ok"
-		if !r.ConstraintMet {
-			ok = "X"
-		}
 		fmt.Fprintf(&b, "%8.3f %6s %12.0fMB %8s %12.2f\n",
-			r.Lambda, mark, r.VirtualGoalMB, ok, r.Throughput)
+			r.Lambda, autoMark(r.Auto, "←§5.2"), r.VirtualGoalMB, okMark(r.ConstraintMet), r.Throughput)
 	}
 	return b.String()
 }
@@ -243,21 +241,10 @@ func AblationAdaptiveModel() AdaptiveAblation {
 			label = "adaptive"
 		}
 		return memoKeyed("HB3813", label, "ablation-adaptive", 0, func() adaptiveRun {
-			ic, err := smartconf.NewIndirect(smartconf.Spec{
-				Name:   "ipc.server.max.queue.size",
-				Metric: "memory_consumption",
-				Goal:   float64(rpcMemoryGoal),
-				Hard:   true,
-				Min:    0, Max: 5000,
-				Adaptive: adaptive,
-			}, publicProfile(profile), nil)
-			if err != nil {
-				panic(err)
-			}
-			r := runHB3813Custom(func(heapUsed float64, queueLen int) int {
-				ic.SetPerf(heapUsed, float64(queueLen))
-				return ic.Conf()
-			})
+			spec := hb3813Spec()
+			spec.Adaptive = adaptive
+			ic := mustIndirect(spec, profile, nil)
+			r := runHB3813(SmartConf(), hb3813Standard(), func(r *rpcRig) { r.decide(roundedStep(ic)) })
 			return adaptiveRun{Result: r, Alpha: ic.ModelAlpha()}
 		})
 	})
@@ -312,21 +299,12 @@ func AblationProfilingDepth() []ProfilingDepthRow {
 			"ablation-depth", 0, func() ProfilingDepthRow {
 				sub := subsampleProfile(full, plan.settings, plan.samples)
 				row := ProfilingDepthRow{Settings: plan.settings, Samples: plan.samples}
-				ic, err := smartconf.NewIndirect(smartconf.Spec{
-					Name:   "ipc.server.max.queue.size",
-					Metric: "memory_consumption",
-					Goal:   float64(rpcMemoryGoal),
-					Hard:   true,
-					Min:    0, Max: 5000,
-				}, publicProfile(sub), nil)
+				ic, err := smartconf.NewIndirect(hb3813Spec(), publicProfile(sub), nil)
 				if err != nil {
 					row.SynthesisErr = err.Error()
 					return row
 				}
-				r := runHB3813Custom(func(heapUsed float64, queueLen int) int {
-					ic.SetPerf(heapUsed, float64(queueLen))
-					return ic.Conf()
-				})
+				r := runHB3813(SmartConf(), hb3813Standard(), func(r *rpcRig) { r.decide(roundedStep(ic)) })
 				row.ConstraintMet = r.ConstraintMet
 				row.Throughput = r.Tradeoff
 				return row
@@ -364,11 +342,7 @@ func RenderAblationProfilingDepth(rows []ProfilingDepthRow) string {
 			fmt.Fprintf(&b, "%10d %9d %8s %12s  refused: %s\n", r.Settings, r.Samples, "-", "-", r.SynthesisErr)
 			continue
 		}
-		ok := "ok"
-		if !r.ConstraintMet {
-			ok = "X"
-		}
-		fmt.Fprintf(&b, "%10d %9d %8s %12.2f  ok\n", r.Settings, r.Samples, ok, r.Throughput)
+		fmt.Fprintf(&b, "%10d %9d %8s %12.2f  ok\n", r.Settings, r.Samples, okMark(r.ConstraintMet), r.Throughput)
 	}
 	return b.String()
 }

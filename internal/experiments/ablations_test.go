@@ -211,8 +211,9 @@ func TestSeedSensitivity(t *testing.T) {
 		t.Skip("seed sweep")
 	}
 	for seed := int64(1); seed <= 5; seed++ {
-		r := runHB3813(SmartConf(), hb3813Phases(), hb3813RunTime, seed*101,
-			hb3813BurstSize, hb3813BurstEvery, hb3813Spacing)
+		l := hb3813Standard()
+		l.seed = seed * 101
+		r := runHB3813(SmartConf(), l, hb3813Policy(SmartConf()))
 		if !r.ConstraintMet {
 			t.Errorf("seed %d: %s at %v", seed, r.Violation, r.ViolatedAt)
 		}

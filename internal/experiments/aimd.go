@@ -65,7 +65,7 @@ func AblationBackendAIMD() BackendComparison {
 		if a.inc == 0 {
 			return runCached(HB3813Scenario(), SmartConf())
 		}
-		return memoResult("HB3813", fmt.Sprintf("aimd inc=%g dec=%g", a.inc, a.dec),
+		return memoKeyed("HB3813", fmt.Sprintf("aimd inc=%g dec=%g", a.inc, a.dec),
 			"ablation-aimd", 0, func() Result {
 				ctl := &AIMD{
 					Increase: a.inc,
@@ -73,8 +73,8 @@ func AblationBackendAIMD() BackendComparison {
 					Goal:     float64(rpcMemoryGoal),
 					Min:      0, Max: 5000,
 				}
-				return runHB3813Custom(func(heapUsed float64, _ int) int {
-					return int(ctl.Update(heapUsed))
+				return runHB3813(SmartConf(), hb3813Standard(), func(r *rpcRig) {
+					r.decide(func(perf, _ float64) float64 { return ctl.Update(perf) })
 				})
 			})
 	})

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -9,6 +8,7 @@ import (
 	"smartconf/internal/core"
 	"smartconf/internal/kvstore"
 	"smartconf/internal/memsim"
+	"smartconf/internal/sim"
 	"smartconf/internal/workload"
 )
 
@@ -26,7 +26,6 @@ const (
 	ca6059PhaseShift = 350 * time.Second
 	ca6059HeapCap    = 512 * mb
 	ca6059Goal       = 495 * mb
-	ca6059Cache2     = 256 * mb // phase-2 cache target: C0.5 of the heap
 	ca6059WriteEvery = 50 * time.Millisecond
 )
 
@@ -48,129 +47,102 @@ func ca6059Phases() []workload.YCSBPhase {
 	}
 }
 
+// memtableRig is the CA6059 memtable substrate wired once for the
+// profiling and figure harnesses.
+type memtableRig struct {
+	s     *sim.Simulation
+	rng   *rand.Rand // heap noise
+	heap  *memsim.Heap
+	st    *kvstore.MemtableStore
+	until time.Duration
+	oomAt time.Duration
+}
+
+func newMemtableRig(seed, threshold int64, until time.Duration) *memtableRig {
+	s := newScenarioSim()
+	r := &memtableRig{s: s, rng: rand.New(rand.NewSource(seed)), heap: memsim.NewHeap(ca6059HeapCap), until: until}
+	r.st = kvstore.NewMemtableStore(s, r.heap, ca6059Config(), threshold)
+	r.heap.OnOOM(func() { r.oomAt = s.Now() })
+	heapNoise(s, r.heap, r.rng, rpcNoiseMax, until)
+	return r
+}
+
+// load issues one YCSB operation every ca6059WriteEvery, switching phases
+// (and the read-index cache target with them) on schedule.
+func (r *memtableRig) load(seed int64, phases ...workload.YCSBPhase) {
+	gen := workload.NewYCSB(seed, 1000, phases[0])
+	r.s.Every(0, ca6059WriteEvery, func() bool {
+		if phase, _ := workload.PhaseAt(phases, r.s.Now()); phase.Name != gen.Phase().Name {
+			gen.SetPhase(phase)
+			r.st.SetCacheTarget(int64(phase.CacheRatio * float64(ca6059HeapCap)))
+		}
+		op := gen.NextOp()
+		if op.Write {
+			r.st.Write(op.Bytes)
+		} else {
+			r.st.Read(op.Bytes)
+		}
+		return r.s.Now() < r.until && !r.st.Crashed()
+	})
+}
+
 // ProfileCA6059 runs the profiling campaign under the profiling workload
 // (YCSB-A: 0.5W, 1 MB), pinning the memtable threshold at four settings and
 // sampling heap consumption at write time.
 func ProfileCA6059() core.Profile {
-	return memoProfile("CA6059", func() core.Profile {
-		settings := []float64{32 * float64(mb), 96 * float64(mb), 160 * float64(mb), 224 * float64(mb)}
-		return profileSweep(settings, func(setting float64, record func(setting, measurement float64)) {
-			s := newScenarioSim()
-			rng := rand.New(rand.NewSource(6059))
-			heap := memsim.NewHeap(ca6059HeapCap)
-			st := kvstore.NewMemtableStore(s, heap, ca6059Config(), int64(setting))
-			heapNoise(s, heap, rng, rpcNoiseMax, hb3813ProfileStep)
-
-			writes, taken := 0, 0
-			st.BeforeWrite = func() {
-				writes++
-				if writes%200 == 0 && taken < 10 {
-					record(setting, float64(heap.Used()))
-					taken++
-				}
+	settings := []float64{32 * float64(mb), 96 * float64(mb), 160 * float64(mb), 224 * float64(mb)}
+	return profileSweep("CA6059", settings, func(setting float64, record func(setting, measurement float64)) {
+		r := newMemtableRig(6059, int64(setting), hb3813ProfileStep)
+		writes, taken := 0, 0
+		r.st.BeforeWrite = func() {
+			writes++
+			if writes%200 == 0 && taken < 10 {
+				record(setting, float64(r.heap.Used()))
+				taken++
 			}
-			gen := workload.NewYCSB(6059, 1000, workload.YCSBPhase{WriteRatio: 0.5, RequestBytes: 1 * mb})
-			s.Every(0, ca6059WriteEvery, func() bool {
-				op := gen.NextOp()
-				if op.Write {
-					st.Write(op.Bytes)
-				} else {
-					st.Read(op.Bytes)
-				}
-				return s.Now() < hb3813ProfileStep && !st.Crashed()
-			})
-			s.RunUntil(hb3813ProfileStep)
-		})
+		}
+		r.load(6059, workload.YCSBPhase{WriteRatio: 0.5, RequestBytes: 1 * mb})
+		r.s.RunUntil(hb3813ProfileStep)
 	})
 }
 
 // RunCA6059 executes the two-phase evaluation under the given policy.
 func RunCA6059(p Policy) Result {
-	s := newScenarioSim()
-	rng := rand.New(rand.NewSource(6059))
-	heap := memsim.NewHeap(ca6059HeapCap)
-	st := kvstore.NewMemtableStore(s, heap, ca6059Config(), 0)
+	r := newMemtableRig(6059, 0, ca6059RunTime)
 
 	switch p.Kind {
 	case StaticPolicy:
-		st.SetThreshold(int64(p.Static))
+		r.st.SetThreshold(int64(p.Static))
 	case SmartConfPolicy:
-		profile := ProfileCA6059()
-		ic, err := smartconf.NewIndirect(smartconf.Spec{
+		ic := mustIndirect(smartconf.Spec{
 			Name:    "memtable_total_space_in_mb",
 			Metric:  "memory_consumption",
 			Goal:    float64(ca6059Goal),
 			Hard:    true,
 			Initial: 0,
 			Min:     0, Max: float64(ca6059HeapCap),
-		}, publicProfile(profile), nil)
-		if err != nil {
-			panic(fmt.Sprintf("CA6059 synthesis: %v", err))
-		}
-		st.BeforeWrite = func() {
-			ic.SetPerf(float64(heap.Used()), float64(st.MemtableBytes())) //sc:CA6059:sensor
-			st.SetThreshold(int64(ic.Value()))                            //sc:CA6059:invoke
+		}, ProfileCA6059(), nil)
+		r.st.BeforeWrite = func() {
+			ic.SetPerf(float64(r.heap.Used()), float64(r.st.MemtableBytes())) //sc:CA6059:sensor
+			r.st.SetThreshold(int64(ic.Value()))                              //sc:CA6059:invoke
 		}
 	case SinglePolePolicy, NoVirtualGoalPolicy:
-		ctrl, err := ablationController(p.Kind, ProfileCA6059(), float64(ca6059Goal), p.FixedPole)
-		if err != nil {
-			panic(fmt.Sprintf("CA6059 ablation synthesis: %v", err))
-		}
-		st.BeforeWrite = func() {
-			ctrl.SetConf(float64(st.MemtableBytes()))
-			st.SetThreshold(int64(ctrl.Update(float64(heap.Used()))))
+		ctrl := ablationController(p.Kind, ProfileCA6059(), float64(ca6059Goal), p.FixedPole)
+		r.st.BeforeWrite = func() {
+			ctrl.SetConf(float64(r.st.MemtableBytes()))
+			r.st.SetThreshold(int64(ctrl.Update(float64(r.heap.Used()))))
 		}
 	}
 
-	heapNoise(s, heap, rng, rpcNoiseMax, ca6059RunTime)
+	probe := &probe{}
+	probe.track("used_memory", "bytes", func() float64 { return float64(r.heap.Used()) })
+	probe.track("memtable_total_space", "bytes", func() float64 { return float64(r.st.Threshold()) })
+	probe.start(r.s, func() bool { return r.s.Now() < ca6059RunTime && !r.heap.OOM() })
+	r.load(6060, ca6059Phases()...)
+	r.s.RunUntil(ca6059RunTime)
 
-	memS := Series{Name: "used_memory", Unit: "bytes"}
-	knobS := Series{Name: "memtable_total_space", Unit: "bytes"}
-	var oomAt time.Duration
-	heap.OnOOM(func() { oomAt = s.Now() })
-	s.Every(time.Second, time.Second, func() bool {
-		memS.Points = append(memS.Points, Point{s.Now(), float64(heap.Used())})
-		knobS.Points = append(knobS.Points, Point{s.Now(), float64(st.Threshold())})
-		return s.Now() < ca6059RunTime && !heap.OOM()
-	})
-
-	gen := workload.NewYCSB(6060, 1000, ca6059Phases()[0])
-	s.Every(0, ca6059WriteEvery, func() bool {
-		if phase, _ := workload.PhaseAt(ca6059Phases(), s.Now()); phase.Name != gen.Phase().Name {
-			gen.SetPhase(phase)
-			st.SetCacheTarget(int64(phase.CacheRatio * float64(ca6059HeapCap)))
-		}
-		op := gen.NextOp()
-		if op.Write {
-			st.Write(op.Bytes)
-		} else {
-			st.Read(op.Bytes)
-		}
-		return s.Now() < ca6059RunTime && !st.Crashed()
-	})
-	s.RunUntil(ca6059RunTime)
-
-	res := Result{
-		Issue:          "CA6059",
-		Policy:         p,
-		TradeoffName:   "mean write latency (ms)",
-		HigherIsBetter: false,
-		Tradeoff:       float64(st.WriteLatency().OverallMean()) / float64(time.Millisecond),
-		Series:         []Series{memS, knobS},
-	}
-	met, at, worst := evalUpperBound(memS, func(time.Duration) float64 { return float64(ca6059Goal) })
-	switch {
-	case heap.OOM():
-		res.ConstraintMet = false
-		res.ViolatedAt = oomAt
-		res.Violation = "OOM"
-	case !met:
-		res.ConstraintMet = false
-		res.ViolatedAt = at
-		res.Violation = fmt.Sprintf("memory %.0fMB > goal %.0fMB", worst/float64(mb), float64(ca6059Goal)/float64(mb))
-	default:
-		res.ConstraintMet = true
-	}
+	res := CA6059Scenario().result(p, float64(r.st.WriteLatency().OverallMean())/float64(time.Millisecond), probe)
+	judgeMemory(&res, r.heap.OOM(), r.oomAt, probe.metric(), constGoal(float64(ca6059Goal)))
 	return res
 }
 

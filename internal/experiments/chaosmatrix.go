@@ -3,20 +3,13 @@ package experiments
 import (
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"strings"
 	"time"
 
 	"smartconf"
 	"smartconf/internal/chaos"
-	"smartconf/internal/dfs"
 	"smartconf/internal/experiments/engine"
-	"smartconf/internal/kvstore"
-	"smartconf/internal/llmserve"
-	"smartconf/internal/mapred"
-	"smartconf/internal/memsim"
 	"smartconf/internal/proptest"
-	"smartconf/internal/rpcserver"
 	"smartconf/internal/sim"
 	"smartconf/internal/workload"
 )
@@ -63,19 +56,19 @@ type ChaosCell struct {
 // re-simulation, which is sound because cells are deterministic in the key.
 func RunChaosCell(cell ChaosCell) proptest.Report {
 	return memoKeyed("CHAOS-"+cell.Substrate, cell.Fault, "chaos", cell.Seed, func() proptest.Report {
-		return runChaosCell(cell.Substrate, cell.Fault, cell.Seed, nil)
+		return runChaosCell(cell.Substrate, cell.Fault, cell.Seed, ChaosHooks{})
 	})
 }
 
 // RunChaosProperty runs a substrate under the seed-generated fault plan,
 // bypassing the run cache: the replay oracle needs two genuine executions.
 func RunChaosProperty(substrate string, seed int64) proptest.Report {
-	return runChaosCell(substrate, ChaosGenerated, seed, nil)
+	return runChaosCell(substrate, ChaosGenerated, seed, ChaosHooks{})
 }
 
-// runChaosCell dispatches one cell; hooks (nil for production cells) carry
+// runChaosCell dispatches one cell; hooks (zero for production cells) carry
 // the decision-log capture ring and/or a counterfactual perturbation.
-func runChaosCell(substrate, fault string, seed int64, hooks *ChaosHooks) proptest.Report {
+func runChaosCell(substrate, fault string, seed int64, hooks ChaosHooks) proptest.Report {
 	switch substrate {
 	case "HB2149":
 		return runChaosHB2149(fault, seed, hooks)
@@ -114,21 +107,22 @@ type ChaosOracleParams struct {
 	MinProgress int64
 }
 
+// chaosParams holds the oracle tolerances per substrate.
+var chaosParams = map[string]ChaosOracleParams{
+	"HB2149": {Settle: 90 * time.Second, Recover: 90 * time.Second, MinProgress: 1000},
+	"HB3813": {Settle: 45 * time.Second, Recover: 60 * time.Second, MinProgress: 1000},
+	"HD4995": {Settle: 120 * time.Second, Recover: 120 * time.Second, MinProgress: 2},
+	"LLMKV":  {Settle: 60 * time.Second, Recover: 90 * time.Second, MinProgress: 500},
+	"MR2820": {Settle: 60 * time.Second, Recover: 120 * time.Second, MinProgress: 6},
+}
+
 // ChaosParams returns the oracle tolerances for a substrate.
 func ChaosParams(substrate string) ChaosOracleParams {
-	switch substrate {
-	case "HB2149":
-		return ChaosOracleParams{Settle: 90 * time.Second, Recover: 90 * time.Second, MinProgress: 1000}
-	case "HB3813":
-		return ChaosOracleParams{Settle: 45 * time.Second, Recover: 60 * time.Second, MinProgress: 1000}
-	case "HD4995":
-		return ChaosOracleParams{Settle: 120 * time.Second, Recover: 120 * time.Second, MinProgress: 2}
-	case "LLMKV":
-		return ChaosOracleParams{Settle: 60 * time.Second, Recover: 90 * time.Second, MinProgress: 500}
-	case "MR2820":
-		return ChaosOracleParams{Settle: 60 * time.Second, Recover: 120 * time.Second, MinProgress: 6}
+	p, ok := chaosParams[substrate]
+	if !ok {
+		panic(fmt.Sprintf("chaos: unknown substrate %q", substrate))
 	}
-	panic(fmt.Sprintf("chaos: unknown substrate %q", substrate))
+	return p
 }
 
 // ChaosVerdict applies the oracle set to a report and returns "ok" or
@@ -196,15 +190,94 @@ func RenderChaos(reports []proptest.Report) string {
 	return b.String()
 }
 
-// chaosTune sets per-substrate loop-fault amplitudes: each scenario is
-// stressed at the edge of, not beyond, its engineered margin (a sensor-noise
-// sigma that routinely OOMs a hard-goal substrate would test the margin's
-// size, not the controller).
-type chaosTune struct {
-	noise float64       // sensor-noise sigma
-	drop  float64       // sensor-dropout probability
-	delay time.Duration // actuation delay
-	stall time.Duration // controller stall / crash outage
+// chaosRun is the part of a chaos harness every substrate shares: the
+// cell's coordinates, its fault window and amplitudes, and the plan armed
+// for it. The amplitudes stress each scenario at the edge of, not beyond,
+// its engineered margin (a sensor-noise sigma that routinely OOMs a
+// hard-goal substrate would test the margin's size, not the controller).
+type chaosRun struct {
+	substrate, fault string
+	seed             int64
+	horizon          time.Duration // run horizon and fault-placement basis
+	start, dur       time.Duration // the fault window
+	noise            float64       // sensor-noise sigma
+	drop             float64       // sensor-dropout probability
+	delay            time.Duration // actuation delay
+	stall            time.Duration // controller stall / crash outage
+	surge            float64       // the surge fault's load factor
+	knobLo, knobHi   float64
+	plan             *chaos.Plan
+}
+
+// chaosLoop wraps the rig's sense and actuate in a chaos loop around the
+// controller synth builds, ticked at the rig's hook site. A crash restart
+// calls synth again: the recovering process re-synthesizes from its
+// persisted profile, and the §5.3 deputy-based update re-anchors on the
+// first post-restart sample, so no controller state needs to survive.
+func chaosLoop(s *sim.Simulation, r rig, hooks ChaosHooks, synth func(opts ...smartconf.Option) stepFunc) *chaos.Loop {
+	rebuild := func() stepFunc { return synth(hooks.confOpts()...) }
+	loop := chaos.NewLoop(s, chaos.LoopConfig{
+		Sense: r.sense, Step: rebuild(), Actuate: r.actuate, Rebuild: rebuild, Log: hooks.Log,
+	})
+	r.attach(loop.Tick)
+	return loop
+}
+
+// arm resolves the cell's fault to a plan and arms it: "gen" draws from the
+// property-test generator, loop faults come from the shared catalog with the
+// run's amplitudes, plant-shift is the substrate's shift, and surge scales
+// the rig's load driver.
+func (c *chaosRun) arm(s *sim.Simulation, loop *chaos.Loop, shift chaos.Fault) *chaos.Env {
+	var f chaos.Fault
+	switch c.fault {
+	case ChaosGenerated:
+		c.plan = proptest.GenPlan(c.fault, c.seed, c.horizon, c.knobLo, c.knobHi)
+		return c.plan.Arm(s, loop)
+	case "sensor-noise":
+		f = chaos.SensorNoise{Start: c.start, Duration: c.dur, Sigma: c.noise}
+	case "sensor-dropout":
+		f = chaos.SensorDropout{Start: c.start, Duration: c.dur, Prob: c.drop}
+	case "act-delay":
+		f = chaos.ActuationDelay{Start: c.start, Duration: c.dur, Delay: c.delay}
+	case "ctrl-stall":
+		f = chaos.ControllerStall{Start: c.start, Duration: c.stall}
+	case "crash-restart":
+		f = chaos.ControllerCrash{At: c.start, RestartAfter: c.stall}
+	case "plant-shift":
+		f = shift
+	case "surge":
+		f = chaos.WorkloadSurge{Start: c.start, Duration: c.dur, Factor: c.surge}
+	default:
+		panic(fmt.Sprintf("chaos: unknown fault %q", c.fault))
+	}
+	c.plan = &chaos.Plan{Name: c.fault, Seed: c.seed, Faults: []chaos.Fault{f}}
+	return c.plan.Arm(s, loop)
+}
+
+// report assembles the cell's report from the probed metric and knob
+// traces: drained when the simulation reached the horizon. The harness adds
+// any crash and seals the report.
+func (c *chaosRun) report(s *sim.Simulation, progress int64, p *probe, goal ...proptest.Sample) proptest.Report {
+	return proptest.Report{
+		Substrate: c.substrate, Plan: c.plan.Name, Seed: c.seed, Horizon: c.horizon,
+		Drained: s.Now() >= c.horizon, Progress: progress,
+		Goal: goal, Upper: true, KnobMin: c.knobLo, KnobMax: c.knobHi,
+		Faults: c.plan.Windows(c.horizon), Metric: samples(p.metric()), Knob: samples(p.knob()),
+	}
+}
+
+// seal fingerprints the finished report.
+func seal(rep proptest.Report) proptest.Report {
+	rep.ComputeFingerprint()
+	return rep
+}
+
+func samples(s Series) []proptest.Sample {
+	out := make([]proptest.Sample, len(s.Points))
+	for i, p := range s.Points {
+		out[i] = proptest.Sample{T: p.T, V: p.V}
+	}
+	return out
 }
 
 // windowedShift is a plant disturbance with a clearance: apply at Start,
@@ -234,395 +307,97 @@ func (f windowedShift) Arm(env *chaos.Env) {
 	env.Sim.At(f.start+f.duration, f.revert)
 }
 
-// chaosPlanFor resolves a fault name to a plan: "gen" draws from the
-// property-test generator, loop faults come from the shared catalog with the
-// substrate's tune, and anything else must be a substrate plant fault.
-func chaosPlanFor(fault string, seed int64, start, dur, horizon time.Duration,
-	tune chaosTune, knobLo, knobHi float64, plant func() []chaos.Fault) *chaos.Plan {
-	if fault == ChaosGenerated {
-		return proptest.GenPlan(fault, seed, horizon, knobLo, knobHi)
-	}
-	var f chaos.Fault
-	switch fault {
-	case "sensor-noise":
-		f = chaos.SensorNoise{Start: start, Duration: dur, Sigma: tune.noise}
-	case "sensor-dropout":
-		f = chaos.SensorDropout{Start: start, Duration: dur, Prob: tune.drop}
-	case "act-delay":
-		f = chaos.ActuationDelay{Start: start, Duration: dur, Delay: tune.delay}
-	case "ctrl-stall":
-		f = chaos.ControllerStall{Start: start, Duration: tune.stall}
-	case "crash-restart":
-		f = chaos.ControllerCrash{At: start, RestartAfter: tune.stall}
-	default:
-		if fs := plant(); fs != nil {
-			return &chaos.Plan{Name: fault, Seed: seed, Faults: fs}
-		}
-		panic(fmt.Sprintf("chaos: unknown fault %q", fault))
-	}
-	return &chaos.Plan{Name: fault, Seed: seed, Faults: []chaos.Fault{f}}
-}
-
 // runChaosHB3813: the RPC server's hard memory goal under fault injection.
 // Plant shift: half the worker pool disappears (drain rate drops).
-func runChaosHB3813(fault string, seed int64, hooks *ChaosHooks) proptest.Report {
-	const (
-		horizon = 300 * time.Second
-		fStart  = 100 * time.Second
-		fDur    = 60 * time.Second
-	)
-	tune := chaosTune{noise: 0.05, drop: 0.8, delay: 2 * time.Second, stall: 45 * time.Second}
-
-	s := newScenarioSim()
-	rng := rand.New(rand.NewSource(seed + 38130))
-	heap := memsim.NewHeap(rpcHeapCapacity)
-	sv := rpcserver.New(s, heap, rpcConfig())
-	sv.SetMaxQueue(0)
-
-	newIC := func() *smartconf.IndirectConf {
-		ic, err := smartconf.NewIndirect(smartconf.Spec{
-			Name:    "ipc.server.max.queue.size",
-			Metric:  "memory_consumption",
-			Goal:    float64(rpcMemoryGoal),
-			Hard:    true,
-			Initial: 0,
-			Min:     0, Max: 5000,
-		}, publicProfile(ProfileHB3813()), nil, hooks.confOpts()...)
-		if err != nil {
-			panic(fmt.Sprintf("chaos HB3813 synthesis: %v", err))
-		}
-		return ic
-	}
-	ic := newIC()
-	loop := chaos.NewLoop(s, chaos.LoopConfig{
-		Sense: func() (float64, float64) { return float64(heap.Used()), float64(sv.QueueLen()) },
-		Step: func(perf, deputy float64) float64 {
-			ic.SetPerf(perf, deputy)
-			return ic.Value()
-		},
-		Actuate: func(v float64) { sv.SetMaxQueue(int(v)) },
-		Rebuild: func() func(perf, deputy float64) float64 {
-			// Crash recovery: state is re-synthesized from the persisted
-			// profile; the §5.3 deputy-based update re-anchors on the first
-			// post-restart sample, so no controller state needs to survive.
-			ic = newIC()
-			return func(perf, deputy float64) float64 { ic.SetPerf(perf, deputy); return ic.Value() }
-		},
-		Log: hooks.logRef(),
+func runChaosHB3813(fault string, seed int64, hooks ChaosHooks) proptest.Report {
+	c := chaosRun{substrate: "HB3813", fault: fault, seed: seed,
+		horizon: 300 * time.Second, start: 100 * time.Second, dur: 60 * time.Second,
+		noise: 0.05, drop: 0.8, delay: 2 * time.Second, stall: 45 * time.Second, surge: 2, knobHi: 5000}
+	r := newRPCRig(newScenarioSim(), seed+38130, rpcHeapCapacity, rpcConfig(), c.horizon)
+	r.sv.SetMaxQueue(0)
+	loop := chaosLoop(r.s, r, hooks, func(opts ...smartconf.Option) stepFunc {
+		return indirectStep(mustIndirect(hb3813Spec(), ProfileHB3813(), nil, opts...))
 	})
-	sv.BeforeAdmit = loop.Tick
+	env := c.arm(r.s, loop, chaos.PlantShift{Label: "worker-loss", At: c.start,
+		Apply: func() { r.sv.SetWorkers(r.sv.Workers() / 2) }})
+	r.noise()
+	w := ycsbBursts(seed+38131, hb3813BurstSize, hb3813BurstEvery, hb3813Spacing,
+		workload.YCSBPhase{Name: "write-heavy", WriteRatio: 1, RequestBytes: 1 * mb})
+	w.env = env
+	r.load(w)
+	probe := r.probe(r.maxQueue, "max.queue.size")
+	r.s.RunUntil(c.horizon)
 
-	plan := chaosPlanFor(fault, seed, fStart, fDur, horizon, tune, 0, 5000, func() []chaos.Fault {
-		switch fault {
-		case "plant-shift":
-			return []chaos.Fault{chaos.PlantShift{Label: "worker-loss", At: fStart,
-				Apply: func() { sv.SetWorkers(sv.Workers() / 2) }}}
-		case "surge":
-			return []chaos.Fault{chaos.WorkloadSurge{Start: fStart, Duration: fDur, Factor: 2}}
-		}
-		return nil
-	})
-	env := plan.Arm(s, loop)
-
-	heapNoise(s, heap, rng, rpcNoiseMax, horizon)
-	gen := workload.NewYCSB(seed+38131, 1000, workload.YCSBPhase{Name: "write-heavy", WriteRatio: 1, RequestBytes: 1 * mb})
-	s.Every(0, hb3813BurstEvery, func() bool {
-		n := int(float64(hb3813BurstSize) * env.SurgeFactor())
-		n += rng.Intn(n/5+1) - n/10
-		for i := 0; i < n; i++ {
-			op := gen.NextOp()
-			s.After(time.Duration(i)*hb3813Spacing, func() { sv.Offer(op) })
-		}
-		return s.Now() < horizon
-	})
-
-	rep := &proptest.Report{
-		Substrate: "HB3813", Plan: plan.Name, Seed: seed, Horizon: horizon,
-		Goal: []proptest.Sample{{T: 0, V: float64(rpcMemoryGoal)}}, Upper: true,
-		KnobMin: 0, KnobMax: 5000,
-		Faults: plan.Windows(horizon),
-	}
-	var oomAt time.Duration
-	heap.OnOOM(func() { oomAt = s.Now() })
-	s.Every(time.Second, time.Second, func() bool {
-		rep.Metric = append(rep.Metric, proptest.Sample{T: s.Now(), V: float64(heap.Used())})
-		rep.Knob = append(rep.Knob, proptest.Sample{T: s.Now(), V: float64(sv.MaxQueue())})
-		return s.Now() < horizon && !heap.OOM()
-	})
-	s.RunUntil(horizon)
-
-	rep.Drained = s.Now() >= horizon
-	rep.Progress = sv.Completed()
-	rep.Crashed = heap.OOM()
-	rep.CrashedAt = oomAt
-	rep.ComputeFingerprint()
-	return *rep
+	rep := c.report(r.s, r.sv.Completed(), probe, proptest.Sample{T: 0, V: float64(rpcMemoryGoal)})
+	rep.Crashed = r.heap.OOM()
+	rep.CrashedAt = r.oomAt
+	return seal(rep)
 }
 
 // runChaosHB2149: the memstore's soft block-time goal under fault injection.
 // Plant shift: the flush drain rate halves (disk contention).
-func runChaosHB2149(fault string, seed int64, hooks *ChaosHooks) proptest.Report {
-	const (
-		horizon = 300 * time.Second
-		fStart  = 100 * time.Second
-		fDur    = 60 * time.Second
-	)
-	tune := chaosTune{noise: 0.08, drop: 0.7, delay: 3 * time.Second, stall: 60 * time.Second}
-
-	s := newScenarioSim()
-	heap := memsim.NewHeap(2 << 30)
-	st := kvstore.NewMemstore(s, heap, hb2149Config(), 0.5)
-
-	newSC := func() *smartconf.Conf {
-		sc, err := smartconf.New(smartconf.Spec{
-			Name:    "global.memstore.lowerLimit",
-			Metric:  "write_block_time",
-			Goal:    hb2149Goal1,
-			Hard:    false,
-			Initial: 0.5,
-			Min:     0.01, Max: 1,
-		}, publicProfile(ProfileHB2149()), hooks.confOpts()...)
-		if err != nil {
-			panic(fmt.Sprintf("chaos HB2149 synthesis: %v", err))
-		}
-		return sc
-	}
-	sc := newSC()
-	loop := chaos.NewLoop(s, chaos.LoopConfig{
-		Sense: func() (float64, float64) { return st.BlockTimes().Last().Seconds(), 0 },
-		Step: func(perf, _ float64) float64 {
-			sc.SetPerf(perf)
-			return sc.Value()
-		},
-		Actuate: func(v float64) { st.SetFlushFraction(v) },
-		Rebuild: func() func(perf, deputy float64) float64 {
-			sc = newSC()
-			return func(perf, _ float64) float64 { sc.SetPerf(perf); return sc.Value() }
-		},
-		Log: hooks.logRef(),
+func runChaosHB2149(fault string, seed int64, hooks ChaosHooks) proptest.Report {
+	c := chaosRun{substrate: "HB2149", fault: fault, seed: seed,
+		horizon: 300 * time.Second, start: 100 * time.Second, dur: 60 * time.Second,
+		noise: 0.08, drop: 0.7, delay: 3 * time.Second, stall: 60 * time.Second, surge: 2, knobLo: 0.01, knobHi: 1}
+	r := newMemstoreRig(c.horizon)
+	loop := chaosLoop(r.s, r, hooks, func(opts ...smartconf.Option) stepFunc {
+		return directStep(mustConf(hb2149Spec(), ProfileHB2149(), opts...))
 	})
-	// Gate on a completed flush: the run's first flush has no block
-	// measurement behind it, and feeding the tracker's zero value would hand
-	// the controller a phantom "0 s block" sample.
-	st.BeforeFlush = func() {
-		if st.BlockTimes().Count() > 0 {
-			loop.Tick()
-		}
-	}
+	// 64→36 MB/s: a 1.78× gain error — inside the §5.2 stability margin (2×
+	// is the boundary), so the loop converges while the episode lasts
+	// instead of ringing.
+	env := c.arm(r.s, loop, windowedShift{label: "flush-rate-drop", start: c.start, duration: c.dur,
+		apply:  func() { r.st.SetFlushBytesPerSec(36 * mb) },
+		revert: func() { r.st.SetFlushBytesPerSec(hb2149Config().FlushBytesPerSec) }})
+	r.load(seed+21490, env)
+	probe := r.probe()
+	r.s.RunUntil(c.horizon)
 
-	plan := chaosPlanFor(fault, seed, fStart, fDur, horizon, tune, 0.01, 1, func() []chaos.Fault {
-		switch fault {
-		case "plant-shift":
-			// 64→36 MB/s: a 1.78× gain error — inside the §5.2 stability
-			// margin (2× is the boundary), so the loop converges while the
-			// episode lasts instead of ringing.
-			return []chaos.Fault{windowedShift{label: "flush-rate-drop", start: fStart, duration: fDur,
-				apply:  func() { st.SetFlushBytesPerSec(36 * mb) },
-				revert: func() { st.SetFlushBytesPerSec(hb2149Config().FlushBytesPerSec) }}}
-		case "surge":
-			return []chaos.Fault{chaos.WorkloadSurge{Start: fStart, Duration: fDur, Factor: 2}}
-		}
-		return nil
-	})
-	env := plan.Arm(s, loop)
-
-	gen := workload.NewYCSB(seed+21490, 1000, workload.YCSBPhase{Name: "write-heavy", WriteRatio: 1, RequestBytes: 1 * mb})
-	s.Every(0, hb2149WriteEvery, func() bool {
-		for i := 0; i < int(env.SurgeFactor()+0.5); i++ {
-			st.Write(gen.NextOp().Bytes)
-		}
-		return s.Now() < horizon && !st.Crashed()
-	})
-
-	rep := &proptest.Report{
-		Substrate: "HB2149", Plan: plan.Name, Seed: seed, Horizon: horizon,
-		// Soft goal: SLA-like, judged with the scenario's 5% slack.
-		Goal: []proptest.Sample{{T: 0, V: hb2149Goal1 * 1.05}}, Upper: true,
-		KnobMin: 0.01, KnobMax: 1,
-		Faults: plan.Windows(horizon),
-	}
-	seen := int64(0)
-	s.Every(time.Second, time.Second, func() bool {
-		if n := st.BlockTimes().Count(); n > seen {
-			rep.Metric = append(rep.Metric, proptest.Sample{T: s.Now(), V: st.BlockTimes().Last().Seconds()})
-			seen = n
-		}
-		rep.Knob = append(rep.Knob, proptest.Sample{T: s.Now(), V: st.FlushFraction()})
-		return s.Now() < horizon && !st.Crashed()
-	})
-	s.RunUntil(horizon)
-
-	rep.Drained = s.Now() >= horizon
-	rep.Progress = st.Writes()
-	rep.Crashed = st.Crashed()
-	rep.ComputeFingerprint()
-	return *rep
+	// Soft goal: SLA-like, judged with the scenario's 5% slack.
+	rep := c.report(r.s, r.st.Writes(), probe, proptest.Sample{T: 0, V: hb2149Goal1 * 1.05})
+	rep.Crashed = r.st.Crashed()
+	return seal(rep)
 }
 
 // runChaosHD4995: the namenode's soft lock-hold goal under fault injection.
 // Plant shift: the per-file traversal cost doubles (cold dentry cache).
-func runChaosHD4995(fault string, seed int64, hooks *ChaosHooks) proptest.Report {
-	const (
-		horizon = 360 * time.Second
-		fStart  = 120 * time.Second
-		fDur    = 60 * time.Second
-		duEvery = 90 * time.Second
-	)
-	tune := chaosTune{noise: 0.06, drop: 0.7, delay: 2 * time.Second, stall: 60 * time.Second}
-
-	s := newScenarioSim()
-	rng := rand.New(rand.NewSource(seed + 49950))
-	nn := dfs.New(s, hd4995Config(), 1)
-
-	newIC := func() *smartconf.IndirectConf {
-		ic, err := smartconf.NewIndirect(smartconf.Spec{
-			Name:    "content-summary.limit",
-			Metric:  "writer_block_time",
-			Goal:    hd4995Goal1,
-			Hard:    false,
-			Initial: 1,
-			Min:     1, Max: 1e7,
-		}, publicProfile(ProfileHD4995()), nil, hooks.confOpts()...)
-		if err != nil {
-			panic(fmt.Sprintf("chaos HD4995 synthesis: %v", err))
-		}
-		return ic
-	}
-	ic := newIC()
-	loop := chaos.NewLoop(s, chaos.LoopConfig{
-		Sense: func() (float64, float64) {
-			return nn.HoldTimes().Last().Seconds(), float64(nn.LastChunkFiles())
-		},
-		Step: func(perf, deputy float64) float64 {
-			ic.SetPerf(perf, deputy)
-			return ic.Value()
-		},
-		Actuate: func(v float64) { nn.SetLimit(int(v)) },
-		Rebuild: func() func(perf, deputy float64) float64 {
-			ic = newIC()
-			return func(perf, deputy float64) float64 { ic.SetPerf(perf, deputy); return ic.Value() }
-		},
-		Log: hooks.logRef(),
+func runChaosHD4995(fault string, seed int64, hooks ChaosHooks) proptest.Report {
+	c := chaosRun{substrate: "HD4995", fault: fault, seed: seed,
+		horizon: 360 * time.Second, start: 120 * time.Second, dur: 60 * time.Second,
+		noise: 0.06, drop: 0.7, delay: 2 * time.Second, stall: 60 * time.Second, surge: 2, knobLo: 1, knobHi: 1e7}
+	r := newDFSRig(seed+49950, c.horizon)
+	loop := chaosLoop(r.s, r, hooks, func(opts ...smartconf.Option) stepFunc {
+		return indirectStep(mustIndirect(hd4995Spec(), ProfileHD4995(), nil, opts...))
 	})
-	// Same phantom-measurement gate as HB2149: the first chunk of the run
-	// has no completed hold to report.
-	nn.BeforeChunk = func() {
-		if nn.HoldTimes().Count() > 0 {
-			loop.Tick()
-		}
-	}
+	// ×1.5 per-file cost: a gain error inside the §5.2 stability margin (a
+	// full doubling sits exactly on the oscillation boundary and never
+	// settles).
+	env := c.arm(r.s, loop, windowedShift{label: "lock-cost-up", start: c.start, duration: c.dur,
+		apply:  func() { r.nn.SetPerFileCost(3 * hd4995Config().PerFileCost / 2) },
+		revert: func() { r.nn.SetPerFileCost(hd4995Config().PerFileCost) }})
+	r.load(90*time.Second, env)
+	probe := r.probe()
+	r.s.RunUntil(c.horizon)
 
-	plan := chaosPlanFor(fault, seed, fStart, fDur, horizon, tune, 1, 1e7, func() []chaos.Fault {
-		switch fault {
-		case "plant-shift":
-			// ×1.5 per-file cost: a gain error inside the §5.2 stability
-			// margin (a full doubling sits exactly on the oscillation
-			// boundary and never settles).
-			return []chaos.Fault{windowedShift{label: "lock-cost-up", start: fStart, duration: fDur,
-				apply:  func() { nn.SetPerFileCost(3 * hd4995Config().PerFileCost / 2) },
-				revert: func() { nn.SetPerFileCost(hd4995Config().PerFileCost) }}}
-		case "surge":
-			return []chaos.Fault{chaos.WorkloadSurge{Start: fStart, Duration: fDur, Factor: 2}}
-		}
-		return nil
-	})
-	env := plan.Arm(s, loop)
-
-	// Multi-client writer load (20 writes/s with jitter), scaled by surge.
-	s.Every(0, 50*time.Millisecond, func() bool {
-		if rng.Float64() < 0.95 {
-			for i := 0; i < int(env.SurgeFactor()+0.5); i++ {
-				nn.Write()
-			}
-		}
-		return s.Now() < horizon
-	})
-	s.Every(10*time.Second, duEvery, func() bool {
-		nn.Du(nil)
-		return s.Now() < horizon
-	})
-
-	rep := &proptest.Report{
-		Substrate: "HD4995", Plan: plan.Name, Seed: seed, Horizon: horizon,
-		// Initial-convergence grace (the controller climbs from limit=1),
-		// then the soft goal with the scenario's 5% slack.
-		Goal: []proptest.Sample{
-			{T: 0, V: 1e12},
-			{T: 60 * time.Second, V: hd4995Goal1 * 1.05},
-		},
-		Upper:   true,
-		KnobMin: 1, KnobMax: 1e7,
-		Faults: plan.Windows(horizon),
-	}
-	seen := int64(0)
-	s.Every(time.Second, time.Second, func() bool {
-		if n := nn.HoldTimes().Count(); n > seen {
-			rep.Metric = append(rep.Metric, proptest.Sample{T: s.Now(), V: nn.HoldTimes().Last().Seconds()})
-			seen = n
-		}
-		rep.Knob = append(rep.Knob, proptest.Sample{T: s.Now(), V: float64(nn.Limit())})
-		return s.Now() < horizon
-	})
-	s.RunUntil(horizon)
-
-	rep.Drained = s.Now() >= horizon
-	rep.Progress = nn.DusDone()
-	rep.ComputeFingerprint()
-	return *rep
+	// Initial-convergence grace (the controller climbs from limit=1), then
+	// the soft goal with the scenario's 5% slack.
+	return seal(c.report(r.s, r.nn.DusDone(), probe, proptest.Sample{T: 0, V: 1e12},
+		proptest.Sample{T: 60 * time.Second, V: hd4995Goal1 * 1.05}))
 }
 
 // runChaosLLMKV: the LLM server's hard GPU-memory goal under fault
 // injection. Plant shift: the workload swings from long-document
 // summarization (low decode amplification) into bursty chat (every admitted
 // prompt token drags ~3× its size in uncounted decode KV).
-func runChaosLLMKV(fault string, seed int64, hooks *ChaosHooks) proptest.Report {
-	const (
-		horizon = 300 * time.Second
-		fStart  = 100 * time.Second
-		fDur    = 60 * time.Second
-	)
-	tune := chaosTune{noise: 0.03, drop: 0.7, delay: 5 * time.Second, stall: 45 * time.Second}
-
-	s := newScenarioSim()
-	rng := rand.New(rand.NewSource(seed + 90010))
-	heap := memsim.NewHeap(llmHeapCapacity)
-	sv := llmserve.New(s, heap, llmConfig())
-	kvb := float64(llmKVPerToken())
-	maxTokens := float64(llmHeapCapacity) / kvb
-
-	newIC := func() *smartconf.IndirectConf {
-		ic, err := smartconf.NewIndirect(smartconf.Spec{
-			Name:    "max.num.batched.tokens",
-			Metric:  "gpu_memory_consumption",
-			Goal:    float64(llmMemoryGoal),
-			Hard:    true,
-			Initial: 0,
-			Min:     0, Max: float64(llmHeapCapacity),
-		}, publicProfile(ProfileLLMKV()), smartconf.Scale(1/kvb), hooks.confOpts()...)
-		if err != nil {
-			panic(fmt.Sprintf("chaos LLMKV synthesis: %v", err))
-		}
-		return ic
-	}
-	ic := newIC()
-	loop := chaos.NewLoop(s, chaos.LoopConfig{
-		Sense: func() (float64, float64) {
-			return float64(heap.Used()), float64(sv.PromptTokens()) * kvb
-		},
-		Step: func(perf, deputy float64) float64 {
-			ic.SetPerf(perf, deputy)
-			return ic.Value()
-		},
-		Actuate: func(v float64) { sv.SetMaxBatchedTokens(int(v)) },
-		Rebuild: func() func(perf, deputy float64) float64 {
-			ic = newIC()
-			return func(perf, deputy float64) float64 { ic.SetPerf(perf, deputy); return ic.Value() }
-		},
-		Log: hooks.logRef(),
-	})
-	s.Every(0, 15*time.Second, func() bool {
-		loop.Tick()
-		return s.Now() < horizon && !sv.Crashed()
+func runChaosLLMKV(fault string, seed int64, hooks ChaosHooks) proptest.Report {
+	c := chaosRun{substrate: "LLMKV", fault: fault, seed: seed,
+		horizon: 300 * time.Second, start: 100 * time.Second, dur: 60 * time.Second,
+		noise: 0.03, drop: 0.7, delay: 5 * time.Second, stall: 45 * time.Second, surge: 2}
+	r := newLLMRig(seed+90010, llmHeapCapacity, c.horizon)
+	c.knobHi = float64(llmHeapCapacity) / r.kvb
+	loop := chaosLoop(r.s, r, hooks, func(opts ...smartconf.Option) stepFunc {
+		return indirectStep(llmkvConf(opts...))
 	})
 
 	// Chat at 40 req/s (the figure scenario's 60 req/s overload runs the
@@ -637,146 +412,37 @@ func runChaosLLMKV(fault string, seed int64, hooks *ChaosHooks) proptest.Report 
 		// has opened up for documents.
 		phases[0] = summarize
 	}
-	plan := chaosPlanFor(fault, seed, fStart, fDur, horizon, tune, 0, maxTokens, func() []chaos.Fault {
-		switch fault {
-		case "plant-shift":
-			return []chaos.Fault{chaos.PlantShift{Label: "decode-amplification", At: fStart,
-				Apply: func() { phases[0] = chat }}}
-		case "surge":
-			return []chaos.Fault{chaos.WorkloadSurge{Start: fStart, Duration: fDur, Factor: 2}}
-		}
-		return nil
-	})
-	env := plan.Arm(s, loop)
+	env := c.arm(r.s, loop, chaos.PlantShift{Label: "decode-amplification", At: c.start,
+		Apply: func() { phases[0] = chat }})
+	r.noise()
+	r.load(phases, seed+90011, env)
+	probe := r.probe()
+	r.s.RunUntil(c.horizon)
 
-	heapNoise(s, heap, rng, llmNoiseMax, horizon)
-	chaosLLMDrive(s, sv, phases, seed+90011, horizon, env)
-
-	rep := &proptest.Report{
-		Substrate: "LLMKV", Plan: plan.Name, Seed: seed, Horizon: horizon,
-		// Initial-convergence grace (the knob opens from 0 and the first
-		// correction overshoots into the engineered margin), then the goal.
-		Goal: []proptest.Sample{
-			{T: 0, V: 1e12},
-			{T: 60 * time.Second, V: float64(llmMemoryGoal)},
-		},
-		Upper:   true,
-		KnobMin: 0, KnobMax: maxTokens,
-		Faults: plan.Windows(horizon),
-	}
-	var oomAt time.Duration
-	heap.OnOOM(func() { oomAt = s.Now() })
-	s.Every(time.Second, time.Second, func() bool {
-		rep.Metric = append(rep.Metric, proptest.Sample{T: s.Now(), V: float64(heap.Used())})
-		rep.Knob = append(rep.Knob, proptest.Sample{T: s.Now(), V: float64(sv.MaxBatchedTokens())})
-		return s.Now() < horizon && !heap.OOM()
-	})
-	s.RunUntil(horizon)
-
-	rep.Drained = s.Now() >= horizon
-	rep.Progress = sv.Completed()
-	rep.Crashed = heap.OOM()
-	rep.CrashedAt = oomAt
-	rep.ComputeFingerprint()
-	return *rep
-}
-
-// chaosLLMDrive is llmDrive with surge-aware bursts and a phase slice whose
-// backing array a PlantShift may mutate mid-run.
-func chaosLLMDrive(s *sim.Simulation, sv *llmserve.Server, phases []workload.LLMPhase, seed int64, until time.Duration, env *chaos.Env) {
-	gen := workload.NewLLMGen(seed, phases[0])
-	var arrive func()
-	arrive = func() {
-		if s.Now() >= until {
-			return
-		}
-		if ph, _ := workload.LLMPhaseAt(phases, s.Now()); ph.Name != gen.Phase().Name {
-			gen.SetPhase(ph)
-		}
-		sv.Offer(gen.NextRequest())
-		s.After(gen.NextInterarrival(), arrive)
-	}
-	s.After(0, arrive)
-	s.Every(llmBurstEvery, llmBurstEvery, func() bool {
-		ph, _ := workload.LLMPhaseAt(phases, s.Now())
-		if ph.Name != gen.Phase().Name {
-			gen.SetPhase(ph)
-		}
-		n := int(float64(ph.BurstSize) * env.SurgeFactor())
-		for i := 0; i < n; i++ {
-			req := gen.NextRequest()
-			s.After(time.Duration(i)*ph.BurstSpacing, func() { sv.Offer(req) })
-		}
-		return s.Now() < until
-	})
+	// Initial-convergence grace (the knob opens from 0 and the first
+	// correction overshoots into the engineered margin), then the goal.
+	rep := c.report(r.s, r.sv.Completed(), probe, proptest.Sample{T: 0, V: 1e12},
+		proptest.Sample{T: 60 * time.Second, V: float64(llmMemoryGoal)})
+	rep.Crashed = r.heap.OOM()
+	rep.CrashedAt = r.oomAt
+	return seal(rep)
 }
 
 // runChaosMR2820: the MapReduce cluster's hard out-of-disk goal under fault
 // injection. Plant shift: the task write rate halves (I/O contention).
 // Surge: the co-tenant band jumps up — the scenario's own disturbance,
 // intensified.
-func runChaosMR2820(fault string, seed int64, hooks *ChaosHooks) proptest.Report {
-	const (
-		active = 360 * time.Second // fault-placement window basis
-		fStart = 120 * time.Second
-		fDur   = 60 * time.Second
-		bound  = 3600 * time.Second // safety bound; jobs end far earlier
-	)
-	tune := chaosTune{noise: 0.02, drop: 0.6, delay: 2 * time.Second, stall: 30 * time.Second}
-
-	s := newScenarioSim()
-	rng := rand.New(rand.NewSource(seed + 28200))
-	c := mapred.New(s, mr2820Config(), 0)
-
-	newSC := func() *smartconf.Conf {
-		sc, err := smartconf.New(smartconf.Spec{
-			Name:    "local.dir.minspacestart",
-			Metric:  "disk_consumption",
-			Goal:    float64(mr2820DiskGoal),
-			Hard:    true,
-			Initial: 512 * float64(mb),
-			Min:     0, Max: 1 << 30,
-		}, publicProfile(ProfileMR2820()), hooks.confOpts()...)
-		if err != nil {
-			panic(fmt.Sprintf("chaos MR2820 synthesis: %v", err))
-		}
-		return sc
-	}
-	sc := newSC()
-	var curW *mapred.Worker
-	var curNext int64
-	loop := chaos.NewLoop(s, chaos.LoopConfig{
-		Sense: func() (float64, float64) {
-			return float64(curW.Disk.Used() + curW.Committed() + curNext), 0
-		},
-		Step: func(perf, _ float64) float64 {
-			sc.SetPerf(perf)
-			return sc.Value()
-		},
-		Actuate: func(v float64) { c.SetMinSpaceStart(int64(v)) },
-		Rebuild: func() func(perf, deputy float64) float64 {
-			sc = newSC()
-			return func(perf, _ float64) float64 { sc.SetPerf(perf); return sc.Value() }
-		},
-		Log: hooks.logRef(),
+func runChaosMR2820(fault string, seed int64, hooks ChaosHooks) proptest.Report {
+	const bound = 3600 * time.Second // safety bound; jobs end far earlier
+	c := chaosRun{substrate: "MR2820", fault: fault, seed: seed,
+		horizon: 360 * time.Second, start: 120 * time.Second, dur: 60 * time.Second,
+		noise: 0.02, drop: 0.6, delay: 2 * time.Second, stall: 30 * time.Second, surge: 1.5, knobHi: 1 << 30}
+	r := newMapredRig(seed+28200, 0)
+	loop := chaosLoop(r.s, r, hooks, func(opts ...smartconf.Option) stepFunc {
+		return directStep(mustConf(mr2820Spec(), ProfileMR2820(), opts...))
 	})
-	c.BeforeSchedule = func(w *mapred.Worker, next int64) {
-		curW, curNext = w, next
-		loop.Tick()
-	}
-
-	plan := chaosPlanFor(fault, seed, fStart, fDur, active, tune, 0, 1<<30, func() []chaos.Fault {
-		switch fault {
-		case "plant-shift":
-			return []chaos.Fault{chaos.PlantShift{Label: "task-rate-halved", At: fStart,
-				Apply: func() { c.SetTaskBytesPerSec(8 * mb) }}}
-		case "surge":
-			return []chaos.Fault{chaos.WorkloadSurge{Start: fStart, Duration: fDur, Factor: 1.5}}
-		}
-		return nil
-	})
-	env := plan.Arm(s, loop)
-
+	env := c.arm(r.s, loop, chaos.PlantShift{Label: "task-rate-halved", At: c.start,
+		Apply: func() { r.c.SetTaskBytesPerSec(8 * mb) }})
 	// The scenario's co-tenant walk, calibrated slightly below the figure
 	// run (step 25 MB, band top 720 MB): a single co-tenant step larger
 	// than the goal's 10 MB headroom can OOD an already-admitted task no
@@ -785,75 +451,19 @@ func runChaosMR2820(fault string, seed int64, hooks *ChaosHooks) proptest.Report
 	// engineered — the figure scenario acknowledges the same race by
 	// judging over a 5-seed repetition instead. A surge lifts the band by
 	// 100 MB × (factor−1), reached through the same bounded steps.
-	const maxStep = 25 * mb
-	low0, high0 := int64(550*mb), int64(720*mb)
-	current := make([]int64, len(c.Workers()))
-	for i, w := range c.Workers() {
-		current[i] = (low0 + high0) / 2
-		w.SetCoTenant(current[i])
-	}
-	s.Every(5*time.Second, 5*time.Second, func() bool {
-		bump := int64((env.SurgeFactor() - 1) * float64(100*mb))
-		low, high := low0+bump, high0+bump
-		for i, w := range c.Workers() {
-			step := int64(rng.Intn(int(2*maxStep+1))) - maxStep
-			next := current[i] + step
-			if next < low {
-				next = low
-			}
-			if next > high {
-				next = high
-			}
-			current[i] = next
-			w.SetCoTenant(next)
-		}
-		return s.Now() < bound && !c.OOD()
-	})
+	r.coTenant(550*mb, 720*mb, 25*mb, bound, env, true)
+	probe := r.probe()
+	results := r.runJobs()
+	r.s.RunUntil(bound)
 
-	rep := &proptest.Report{
-		Substrate: "MR2820", Plan: plan.Name, Seed: seed, Horizon: bound,
-		Goal: []proptest.Sample{{T: 0, V: float64(mr2820DiskGoal)}}, Upper: true,
-		KnobMin: 0, KnobMax: 1 << 30,
-		Faults: plan.Windows(active),
-	}
-	s.Every(time.Second, time.Second, func() bool {
-		rep.Metric = append(rep.Metric, proptest.Sample{T: s.Now(), V: float64(c.MaxDiskUsed())})
-		rep.Knob = append(rep.Knob, proptest.Sample{T: s.Now(), V: float64(c.MinSpaceStart())})
-		return c.Busy() || s.Now() < 10*time.Second
-	})
-
-	jobs := mr2820Jobs()
-	var finished int
-	var runNext func(i int)
-	runNext = func(i int) {
-		if i >= len(jobs) {
-			s.Stop()
-			return
-		}
-		c.RunJob(jobs[i], func(r mapred.JobResult) {
-			finished++
-			runNext(i + 1)
-		})
-	}
-	s.At(time.Second, func() { runNext(0) })
-	s.RunUntil(bound)
-
+	rep := c.report(r.s, int64(len(*results)), probe, proptest.Sample{T: 0, V: float64(mr2820DiskGoal)})
+	rep.Horizon = bound
 	// Drained here means the job sequence ran to completion (the sim stops
 	// early on success — the inverse of the fixed-horizon substrates).
-	rep.Drained = finished == len(jobs)
-	rep.Progress = int64(finished)
-	rep.Crashed = c.OOD()
+	rep.Drained = len(*results) == len(mr2820Jobs())
+	rep.Crashed = r.c.OOD()
 	if rep.Crashed {
-		rep.CrashedAt = firstViolation(Series{Points: samplesToPoints(rep.Metric)}, float64(mr2820DiskGoal))
+		rep.CrashedAt = firstViolation(probe.metric(), float64(mr2820DiskGoal))
 	}
-	rep.ComputeFingerprint()
-	return *rep
-}
-
-func samplesToPoints(ss []proptest.Sample) []Point {
-	ps := make([]Point, len(ss))
-	for i, s := range ss {
-		ps[i] = Point{T: s.T, V: s.V}
-	}
-	return ps
+	return seal(rep)
 }

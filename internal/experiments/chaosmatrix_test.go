@@ -72,7 +72,7 @@ func TestChaosCellCacheMatchesFreshRun(t *testing.T) {
 	ResetRunCache()
 	defer ResetRunCache()
 	cached := RunChaosCell(ChaosCell{Substrate: "HB3813", Fault: "plant-shift", Seed: ChaosSeed})
-	fresh := runChaosCell("HB3813", "plant-shift", ChaosSeed, nil)
+	fresh := runChaosCell("HB3813", "plant-shift", ChaosSeed, ChaosHooks{})
 	if err := proptest.Replays(&cached, &fresh); err != nil {
 		t.Fatal(err)
 	}

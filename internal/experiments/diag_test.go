@@ -3,7 +3,21 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"smartconf/internal/core"
 )
+
+// hb2149Block predicts the block time for a flush fraction under the
+// configured store (for the diagnostic sweep; the controller learns this
+// from profiling, not from this formula).
+func hb2149Block(fraction float64) float64 {
+	cfg := hb2149Config()
+	return cfg.FlushFixedOverhead.Seconds() + fraction*float64(cfg.UpperLimitBytes)/float64(cfg.FlushBytesPerSec)
+}
+
+// synthesizedPole is the regular pole SmartConf derives from p, for test
+// logging.
+func synthesizedPole(p core.Profile) float64 { return core.PoleFromDelta(p.Delta()) }
 
 // Diagnostic sweeps used during calibration; kept as regression telemetry.
 func TestDiagHB3813Sweep(t *testing.T) {
@@ -29,7 +43,7 @@ func TestDiagHB6728Sweep(t *testing.T) {
 		t.Logf("static %4.0fMB: met=%5v at=%8v tput=%6.2f", v, r.ConstraintMet, r.ViolatedAt, r.Tradeoff)
 	}
 	p := ProfileHB6728()
-	t.Logf("profile λ=%.3f pole=%.3f", p.Lambda(), core_PoleForTest(p))
+	t.Logf("profile λ=%.3f pole=%.3f", p.Lambda(), synthesizedPole(p))
 	r := RunHB6728(SmartConf())
 	knob, _ := r.SeriesByName("response.queue.maxsize")
 	mem, _ := r.SeriesByName("used_memory")
@@ -47,7 +61,7 @@ func TestDiagCA6059Sweep(t *testing.T) {
 		t.Logf("static %4.0fMB: met=%5v at=%8v lat=%6.2fms", v, r.ConstraintMet, r.ViolatedAt, r.Tradeoff)
 	}
 	p := ProfileCA6059()
-	t.Logf("profile λ=%.3f pole=%.3f", p.Lambda(), core_PoleForTest(p))
+	t.Logf("profile λ=%.3f pole=%.3f", p.Lambda(), synthesizedPole(p))
 	r := RunCA6059(SmartConf())
 	knob, _ := r.SeriesByName("memtable_total_space")
 	mem, _ := r.SeriesByName("used_memory")

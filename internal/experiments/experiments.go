@@ -198,6 +198,20 @@ type Scenario struct {
 	Run func(Policy) Result
 }
 
+// result starts a run's Result from the scenario's descriptor — the issue
+// and the trade-off metric's name and orientation — with the probe's
+// series; the harness adds the constraint verdict.
+func (sc Scenario) result(p Policy, tradeoff float64, probe *probe) Result {
+	return Result{
+		Issue:          sc.ID,
+		Policy:         p,
+		Tradeoff:       tradeoff,
+		TradeoffName:   sc.TradeoffName,
+		HigherIsBetter: sc.HigherIsBetter,
+		Series:         probe.values(),
+	}
+}
+
 // Scenarios returns the six benchmark scenarios in Table 6 order.
 func Scenarios() []Scenario {
 	return []Scenario{

@@ -9,8 +9,6 @@ import (
 	"smartconf"
 	"smartconf/internal/core"
 	"smartconf/internal/experiments/engine"
-	"smartconf/internal/memsim"
-	"smartconf/internal/rpcserver"
 	"smartconf/internal/workload"
 )
 
@@ -40,99 +38,74 @@ const (
 
 // RunSLAScenario executes the latency-goal scenario under a policy.
 func RunSLAScenario(p Policy) SLAResult {
-	s := newScenarioSim()
-	rng := rand.New(rand.NewSource(909))
-	heap := memsim.NewHeap(4 << 30) // memory is NOT the constraint here
-	sv := rpcserver.New(s, heap, rpcConfig())
-	sv.SetMaxQueue(0)
+	r := newRPCRig(newScenarioSim(), 909, 4<<30, rpcConfig(), slaRunTime) // memory is NOT the constraint here
+	r.sv.SetMaxQueue(0)
 
 	switch p.Kind {
 	case StaticPolicy:
-		sv.SetMaxQueue(int(p.Static))
+		r.sv.SetMaxQueue(int(p.Static))
 	case SmartConfPolicy:
 		// Profile p99 latency against the pinned queue bound. Unlike the
 		// memory goals, latency relates to the BOUND itself (the worst wait
 		// is set by how deep the queue may get), so this is a DIRECT
 		// configuration — the paper's SmartConf class, not SmartConf_I.
-		profile := profileSLA()
-		sc, err := smartconf.New(smartconf.Spec{
+		sc := mustConf(smartconf.Spec{
 			Name:    "ipc.server.max.queue.size",
 			Metric:  "p99_latency",
 			Goal:    slaGoalSec,
 			Hard:    false, // SLA: soft constraint
 			Initial: 1,
 			Min:     1, Max: 5000,
-		}, publicProfile(profile))
-		if err != nil {
-			panic(err)
-		}
+		}, profileSLA())
 		// The controller runs on the SENSOR's timescale: a p99 estimate needs
 		// a window of completions and lags the knob by about two burst
 		// cycles, so the loop updates once per 15 s — faster sampling would
 		// chase its own stale measurements (a lesson the percentile class of
 		// Table 4 metrics forces on any controller).
-		s.Every(15*time.Second, 15*time.Second, func() bool {
-			p99 := sv.Latency().Percentile(99).Seconds() //sc:SLA:sensor
-			sc.SetPerf(p99)                              //sc:SLA:invoke
-			sv.SetMaxQueue(sc.Conf())                    //sc:SLA:invoke
-			return s.Now() < slaRunTime
+		r.s.Every(15*time.Second, 15*time.Second, func() bool {
+			p99 := r.sv.Latency().Percentile(99).Seconds() //sc:SLA:sensor
+			sc.SetPerf(p99)                                //sc:SLA:invoke
+			r.sv.SetMaxQueue(sc.Conf())                    //sc:SLA:invoke
+			return r.s.Now() < slaRunTime
 		})
 	}
 
-	w := &rpcWorkload{
-		gen:        workload.NewYCSB(910, 1000, workload.YCSBPhase{WriteRatio: 1, RequestBytes: 1 * mb}),
-		burstSize:  hb3813BurstSize,
-		burstEvery: hb3813BurstEvery,
-		spacing:    hb3813Spacing,
-		phases:     []workload.YCSBPhase{{Name: "steady", WriteRatio: 1, RequestBytes: 1 * mb}},
-	}
 	var worstP99 float64
-	s.Every(5*time.Second, 5*time.Second, func() bool {
-		if s.Now() > 60*time.Second { // after convergence
-			if v := sv.Latency().Percentile(99).Seconds(); v > worstP99 {
+	r.s.Every(5*time.Second, 5*time.Second, func() bool {
+		if r.s.Now() > 60*time.Second { // after convergence
+			if v := r.sv.Latency().Percentile(99).Seconds(); v > worstP99 {
 				worstP99 = v
 			}
 		}
-		return s.Now() < slaRunTime
+		return r.s.Now() < slaRunTime
 	})
-	w.run(s, slaRunTime, rng, func(op workload.Op) { sv.Offer(op) })
-	s.RunUntil(slaRunTime)
+	r.load(slaBursts(910, hb3813BurstSize, "steady"))
+	r.s.RunUntil(slaRunTime)
 
 	return SLAResult{
 		Policy:        p,
 		P99:           worstP99,
 		ConstraintMet: worstP99 <= slaGoalSec*1.1, // soft: 10% SLA slack
-		Throughput:    float64(sv.Completed()) / slaRunTime.Seconds(),
+		Throughput:    float64(r.sv.Completed()) / slaRunTime.Seconds(),
 	}
+}
+
+// slaBursts is HB3813's burst shape with steady 1 MB writes.
+func slaBursts(seed int64, size int, phase string) *rpcWorkload {
+	return ycsbBursts(seed, size, hb3813BurstEvery, hb3813Spacing,
+		workload.YCSBPhase{Name: phase, WriteRatio: 1, RequestBytes: 1 * mb})
 }
 
 // profileSLA profiles p99 latency against four pinned queue bounds.
 func profileSLA() core.Profile {
-	return memoProfile("SLA", func() core.Profile {
-		return profileSweep([]float64{30, 90, 180, 300}, func(setting float64, record func(setting, measurement float64)) {
-			s := newScenarioSim()
-			rng := rand.New(rand.NewSource(909))
-			heap := memsim.NewHeap(4 << 30)
-			sv := rpcserver.New(s, heap, rpcConfig())
-			sv.SetMaxQueue(int(setting))
-			taken := 0
-			s.Every(10*time.Second, 5*time.Second, func() bool {
-				if taken < 10 {
-					record(setting, sv.Latency().Percentile(99).Seconds())
-					taken++
-				}
-				return taken < 10
-			})
-			w := &rpcWorkload{
-				gen:        workload.NewYCSB(909, 1000, workload.YCSBPhase{WriteRatio: 1, RequestBytes: 1 * mb}),
-				burstSize:  hb3813BurstSize,
-				burstEvery: hb3813BurstEvery,
-				spacing:    hb3813Spacing,
-				phases:     []workload.YCSBPhase{{Name: "profiling", WriteRatio: 1, RequestBytes: 1 * mb}},
-			}
-			w.run(s, 70*time.Second, rng, func(op workload.Op) { sv.Offer(op) })
-			s.RunUntil(70 * time.Second)
+	return profileSweep("SLA", []float64{30, 90, 180, 300}, func(setting float64, record func(setting, measurement float64)) {
+		r := newRPCRig(newScenarioSim(), 909, 4<<30, rpcConfig(), 70*time.Second)
+		r.sv.SetMaxQueue(int(setting))
+		sampleTen(r.s, 10*time.Second, 5*time.Second, record, func() (float64, float64, bool) {
+			return setting, r.sv.Latency().Percentile(99).Seconds(), true
 		})
+		r.load(slaBursts(909, hb3813BurstSize, "profiling"))
+		r.s.RunUntil(70 * time.Second)
 	})
 }
 
@@ -142,11 +115,7 @@ func RenderSLA(results []SLAResult) string {
 	fmt.Fprintf(&b, "Extension: p99-latency SLA goal (≤ %.0fs) on the RPC queue bound\n", slaGoalSec)
 	fmt.Fprintf(&b, "%-16s %10s %8s %12s\n", "policy", "p99(s)", "OK?", "ops/s")
 	for _, r := range results {
-		ok := "ok"
-		if !r.ConstraintMet {
-			ok = "X"
-		}
-		fmt.Fprintf(&b, "%-16s %10.2f %8s %12.2f\n", r.Policy, r.P99, ok, r.Throughput)
+		fmt.Fprintf(&b, "%-16s %10.2f %8s %12.2f\n", r.Policy, r.P99, okMark(r.ConstraintMet), r.Throughput)
 	}
 	return b.String()
 }
@@ -184,72 +153,49 @@ type DistributedResult struct {
 // RunDistributedHB3813 runs nodes RPC servers behind a skewed balancer, one
 // controller per node. Memoized per cluster size.
 func RunDistributedHB3813(nodes int) DistributedResult {
-	return memoKeyed("HB3813", fmt.Sprintf("nodes=%d", nodes), "distributed", 0,
-		func() DistributedResult { return runDistributedHB3813(nodes) })
-}
+	return memoKeyed("HB3813", fmt.Sprintf("nodes=%d", nodes), "distributed", 0, func() DistributedResult {
+		s := newScenarioSim()
+		rng := rand.New(rand.NewSource(4444))
+		profile := ProfileHB3813()
 
-func runDistributedHB3813(nodes int) DistributedResult {
-	s := newScenarioSim()
-	rng := rand.New(rand.NewSource(4444))
-	profile := publicProfile(ProfileHB3813())
+		rigs := make([]*rpcRig, nodes)
+		res := DistributedResult{Nodes: nodes, ConstraintMet: true}
+		for i := range rigs {
+			// Per-node scenario seed, offset by node index, drives the node's
+			// heap noise.
+			r := newRPCRig(s, int64(100+i), rpcHeapCapacity, rpcConfig(), 400*time.Second)
+			spec := hb3813Spec()
+			spec.Name = fmt.Sprintf("node%d/%s", i, spec.Name)
+			r.decide(roundedStep(mustIndirect(spec, profile, nil)))
+			r.noise()
+			rigs[i] = r
+		}
 
-	servers := make([]*rpcserver.Server, nodes)
-	heaps := make([]*memsim.Heap, nodes)
-	res := DistributedResult{Nodes: nodes, ConstraintMet: true}
-	for i := 0; i < nodes; i++ {
-		i := i
-		heaps[i] = memsim.NewHeap(rpcHeapCapacity)
-		servers[i] = rpcserver.New(s, heaps[i], rpcConfig())
-		servers[i].SetMaxQueue(0)
-		ic, err := smartconf.NewIndirect(smartconf.Spec{
-			Name:   fmt.Sprintf("node%d/ipc.server.max.queue.size", i),
-			Metric: "memory_consumption",
-			Goal:   float64(rpcMemoryGoal),
-			Hard:   true,
-			Min:    0, Max: 5000,
-		}, profile, nil)
-		if err != nil {
-			panic(err)
+		// Skewed dispatch: node 0 receives ~half the traffic, the rest split the
+		// remainder — a common hot-shard pattern.
+		pick := func() int {
+			if rng.Float64() < 0.5 || nodes == 1 {
+				return 0
+			}
+			return 1 + rng.Intn(nodes-1)
 		}
-		sv, heap := servers[i], heaps[i]
-		sv.BeforeAdmit = func() {
-			ic.SetPerf(float64(heap.Used()), float64(sv.QueueLen()))
-			sv.SetMaxQueue(ic.Conf())
-		}
-		noiseSeed := int64(100 + i) // per-node scenario seed, offset by node index
-		heapNoise(s, heap, rand.New(rand.NewSource(noiseSeed)), rpcNoiseMax, 400*time.Second)
-	}
-
-	// Skewed dispatch: node 0 receives ~half the traffic, the rest split the
-	// remainder — a common hot-shard pattern.
-	pick := func() int {
-		if rng.Float64() < 0.5 || nodes == 1 {
-			return 0
-		}
-		return 1 + rng.Intn(nodes-1)
-	}
-	w := &rpcWorkload{
-		gen: workload.NewYCSB(4445, 1000, workload.YCSBPhase{WriteRatio: 1, RequestBytes: 1 * mb}),
 		// Aggregate offered load scales with the cluster.
-		burstSize:  hb3813BurstSize * nodes / 2,
-		burstEvery: hb3813BurstEvery,
-		spacing:    hb3813Spacing,
-		phases:     []workload.YCSBPhase{{Name: "steady", WriteRatio: 1, RequestBytes: 1 * mb}},
-	}
-	w.run(s, 400*time.Second, rng, func(op workload.Op) { servers[pick()].Offer(op) })
-	s.RunUntil(400 * time.Second)
+		w := slaBursts(4445, hb3813BurstSize*nodes/2, "steady")
+		w.run(s, 400*time.Second, rng, func(op workload.Op) { rigs[pick()].sv.Offer(op) })
+		s.RunUntil(400 * time.Second)
 
-	var completed int64
-	for i, sv := range servers {
-		completed += sv.Completed()
-		res.PerNodeKnob = append(res.PerNodeKnob, sv.MaxQueue())
-		if heaps[i].OOM() {
-			res.ConstraintMet = false
-			res.Violations = append(res.Violations, fmt.Sprintf("node %d OOM", i))
+		var completed int64
+		for i, r := range rigs {
+			completed += r.sv.Completed()
+			res.PerNodeKnob = append(res.PerNodeKnob, r.sv.MaxQueue())
+			if r.heap.OOM() {
+				res.ConstraintMet = false
+				res.Violations = append(res.Violations, fmt.Sprintf("node %d OOM", i))
+			}
 		}
-	}
-	res.Throughput = float64(completed) / 400
-	return res
+		res.Throughput = float64(completed) / 400
+		return res
+	})
 }
 
 // RenderDistributed formats the multi-node run.

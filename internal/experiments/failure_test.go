@@ -7,7 +7,6 @@ import (
 
 	"smartconf"
 	"smartconf/internal/chaos"
-	"smartconf/internal/llmserve"
 	"smartconf/internal/memsim"
 	"smartconf/internal/rpcserver"
 	"smartconf/internal/sim"
@@ -175,11 +174,7 @@ func runLLMKVChaos(t *testing.T, phase workload.LLMPhase,
 ) (oom bool, oomAt time.Duration, completed int64) {
 	t.Helper()
 	const runTime = 300 * time.Second
-	s := sim.New()
-	rng := rand.New(rand.NewSource(9001))
-	heap := memsim.NewHeap(llmHeapCapacity)
-	sv := llmserve.New(s, heap, llmConfig())
-	kvb := float64(llmKVPerToken())
+	r := newLLMRig(9001, llmHeapCapacity, runTime)
 
 	ic, err := smartconf.NewIndirect(smartconf.Spec{
 		Name:   "max.num.batched.tokens",
@@ -187,34 +182,22 @@ func runLLMKVChaos(t *testing.T, phase workload.LLMPhase,
 		Goal:   float64(llmMemoryGoal),
 		Hard:   true,
 		Min:    0, Max: float64(llmHeapCapacity),
-	}, publicProfile(ProfileLLMKV()), smartconf.Scale(1/kvb))
+	}, publicProfile(ProfileLLMKV()), smartconf.Scale(1/r.kvb))
 	if err != nil {
 		t.Fatal(err)
 	}
-	loop := chaos.NewLoop(s, chaos.LoopConfig{
-		Sense: func() (float64, float64) {
-			return float64(heap.Used()), float64(sv.PromptTokens()) * kvb
-		},
-		Step: func(perf, deputy float64) float64 {
-			ic.SetPerf(perf, deputy)
-			return ic.Value()
-		},
-		Actuate: func(v float64) { sv.SetMaxBatchedTokens(int(v)) },
-	})
-	s.Every(0, 15*time.Second, func() bool {
-		loop.Tick()
-		return s.Now() < runTime && !sv.Crashed()
-	})
+	loop := chaos.NewLoop(r.s, chaos.LoopConfig{Sense: r.sense, Step: indirectStep(ic), Actuate: r.actuate})
+	r.attach(loop.Tick)
 
 	phases := []workload.LLMPhase{phase}
-	plan := &chaos.Plan{Name: "failure", Seed: 9001, Faults: faults(heap, phases)}
-	env := plan.Arm(s, loop)
+	plan := &chaos.Plan{Name: "failure", Seed: 9001, Faults: faults(r.heap, phases)}
+	env := plan.Arm(r.s, loop)
 
-	heapNoise(s, heap, rng, llmNoiseMax, runTime)
-	heap.OnOOM(func() { oom, oomAt = true, s.Now() })
-	chaosLLMDrive(s, sv, phases, 9002, runTime, env)
-	s.RunUntil(runTime)
-	return oom, oomAt, sv.Completed()
+	r.noise()
+	r.heap.OnOOM(func() { oom, oomAt = true, r.s.Now() })
+	r.load(phases, 9002, env)
+	r.s.RunUntil(runTime)
+	return oom, oomAt, r.sv.Completed()
 }
 
 // TestFailureInjectionLLMKVPressureSpike: an uncounted 1 GiB allocation

@@ -110,20 +110,20 @@ func RenderFigure5(rows []Figure5Row) string {
 	fmt.Fprintf(&b, "%-8s %-22s %14s %9s %5s\n", "Issue", "Policy", "Setting", "Speedup", "OK?")
 	for _, row := range rows {
 		for _, bar := range row.Bars {
-			mark := "ok"
-			if !bar.ConstraintMet {
-				mark = "X"
-			}
-			setting := "-"
-			if bar.Label != "SmartConf" {
-				setting = humanSetting(bar.Setting)
-			}
 			fmt.Fprintf(&b, "%-8s %-22s %14s %8.2fx %5s\n",
-				row.Issue, bar.Label, setting, bar.Speedup, mark)
+				row.Issue, bar.Label, bar.settingLabel(), bar.Speedup, okMark(bar.ConstraintMet))
 		}
 		fmt.Fprintf(&b, "%-8s (trade-off: %s)\n\n", "", row.Optimal.TradeoffName)
 	}
 	return b.String()
+}
+
+// settingLabel renders the bar's knob setting; SmartConf's moves, so "-".
+func (bar Figure5Bar) settingLabel() string {
+	if bar.Label == "SmartConf" {
+		return "-"
+	}
+	return humanSetting(bar.Setting)
 }
 
 func humanSetting(v float64) string {

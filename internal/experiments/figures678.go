@@ -6,9 +6,8 @@ import (
 	"time"
 
 	"smartconf"
+	"smartconf/internal/core"
 	"smartconf/internal/experiments/engine"
-	"smartconf/internal/memsim"
-	"smartconf/internal/rpcserver"
 	"smartconf/internal/workload"
 )
 
@@ -34,14 +33,7 @@ func BuildFigure6() Figure6 {
 	smart := row.Bars[0].Result
 
 	// Recover the virtual goal SmartConf derived, for the figure annotation.
-	profile := ProfileHB3813()
-	ic, err := smartconf.NewIndirect(smartconf.Spec{
-		Name: sc.Conf, Metric: "memory_consumption",
-		Goal: float64(rpcMemoryGoal), Hard: true, Max: 5000,
-	}, publicProfile(profile), nil)
-	if err != nil {
-		panic(err)
-	}
+	ic := mustIndirect(hb3813Spec(), ProfileHB3813(), nil)
 	return Figure6{
 		SmartConf:   smart,
 		Static:      row.Optimal,
@@ -115,9 +107,9 @@ func BuildFigure7() Figure7 {
 	kinds := []PolicyKind{SmartConfPolicy, SinglePolePolicy, NoVirtualGoalPolicy}
 	runs := engine.MapSlice(kinds, func(kind PolicyKind) Result {
 		p := Policy{Kind: kind, FixedPole: 0.9}
-		return memoResult("HB3813", policyKey(p), "figure7", 7813, func() Result {
-			return runHB3813(p, figure7Phases(), figure7RunTime, 7813,
-				1, 12500*time.Microsecond, time.Millisecond)
+		return memoKeyed("HB3813", policyKey(p), "figure7", 7813, func() Result {
+			return runHB3813(p, hb3813Load{figure7Phases(), figure7RunTime, 7813,
+				1, 12500 * time.Microsecond, time.Millisecond}, hb3813Policy(p))
 		})
 	})
 	return Figure7{
@@ -204,95 +196,72 @@ func BuildFigure8() Figure8 {
 // (n = 1 is the naive-composition ablation). Runs are memoized so the
 // interaction-factor ablation shares the figure's N=2 run.
 func buildFigure8(n int) Figure8 {
-	return memoKeyed("HB3813+HB6728", fmt.Sprintf("N=%d", n), "figure8", 0,
-		func() Figure8 { return buildFigure8Uncached(n) })
-}
+	return memoKeyed("HB3813+HB6728", fmt.Sprintf("N=%d", n), "figure8", 0, func() Figure8 {
+		r := newRPCRig(newScenarioSim(), 0, rpcHeapCapacity, hb6728Config(), figure8RunTime) // no noise: rng unused
 
-func buildFigure8Uncached(n int) Figure8 {
-	s := newScenarioSim()
-	heap := memsim.NewHeap(rpcHeapCapacity)
-	cfg := hb6728Config()
-	sv := rpcserver.New(s, heap, cfg)
-
-	reqProfile := ProfileHB3813()
-	respProfile := ProfileHB6728()
-	var reqConf, respConf *smartconf.IndirectConf
-	if n == 2 {
-		// The production path: the Manager counts both bindings on the
-		// super-hard metric and engages N = 2 automatically.
-		mgr, err := smartconf.NewManager(
-			strings.NewReader(figure8Sys),
-			strings.NewReader(figure8Goals),
-			smartconf.WithProfileSource(func(conf string) (*smartconf.Profile, error) {
-				if conf == "ipc.server.max.queue.size" {
-					return publicProfile(reqProfile), nil
-				}
-				return publicProfile(respProfile), nil
-			}),
-		)
-		if err != nil {
-			panic(fmt.Sprintf("figure 8 manager: %v", err))
-		}
-		if reqConf, err = mgr.IndirectConf("ipc.server.max.queue.size", nil); err != nil {
-			panic(err)
-		}
-		if respConf, err = mgr.IndirectConf("ipc.server.response.queue.maxsize", nil); err != nil {
-			panic(err)
-		}
-	} else {
-		// Ablation: standalone controllers that each claim the full error.
-		mk := func(name string, max float64, p *smartconf.Profile) *smartconf.IndirectConf {
-			ic, err := smartconf.NewIndirect(smartconf.Spec{
-				Name: name, Metric: "memory_consumption",
-				Goal: float64(rpcMemoryGoal), SuperHard: true,
-				Min: 0, Max: max, Interaction: n,
-			}, p, nil)
+		reqProfile := ProfileHB3813()
+		respProfile := ProfileHB6728()
+		var reqConf, respConf *smartconf.IndirectConf
+		if n == 2 {
+			// The production path: the Manager counts both bindings on the
+			// super-hard metric and engages N = 2 automatically.
+			mgr, err := smartconf.NewManager(
+				strings.NewReader(figure8Sys),
+				strings.NewReader(figure8Goals),
+				smartconf.WithProfileSource(func(conf string) (*smartconf.Profile, error) {
+					if conf == "ipc.server.max.queue.size" {
+						return publicProfile(reqProfile), nil
+					}
+					return publicProfile(respProfile), nil
+				}),
+			)
 			if err != nil {
+				panic(fmt.Sprintf("figure 8 manager: %v", err))
+			}
+			if reqConf, err = mgr.IndirectConf("ipc.server.max.queue.size", nil); err != nil {
 				panic(err)
 			}
-			return ic
+			if respConf, err = mgr.IndirectConf("ipc.server.response.queue.maxsize", nil); err != nil {
+				panic(err)
+			}
+		} else {
+			// Ablation: standalone controllers that each claim the full error.
+			mk := func(name string, max float64, p core.Profile) *smartconf.IndirectConf {
+				return mustIndirect(smartconf.Spec{
+					Name: name, Metric: "memory_consumption",
+					Goal: float64(rpcMemoryGoal), SuperHard: true,
+					Min: 0, Max: max, Interaction: n,
+				}, p, nil)
+			}
+			reqConf = mk("ipc.server.max.queue.size", 5000, reqProfile)
+			respConf = mk("ipc.server.response.queue.maxsize", 1e9, respProfile)
 		}
-		reqConf = mk("ipc.server.max.queue.size", 5000, publicProfile(reqProfile))
-		respConf = mk("ipc.server.response.queue.maxsize", 1e9, publicProfile(respProfile))
-	}
-	sv.BeforeAdmit = func() {
-		reqConf.SetPerf(float64(heap.Used()), float64(sv.QueueLen()))
-		sv.SetMaxQueue(reqConf.Conf())
-	}
-	sv.BeforeRespond = func() {
-		respConf.SetPerf(float64(heap.Used()), float64(sv.RespBytes()))
-		sv.SetMaxRespBytes(int64(respConf.Value()))
-	}
+		r.decide(roundedStep(reqConf))
+		hb6728Control(r, respConf)
 
-	f := Figure8{Goal: float64(rpcMemoryGoal)}
-	heap.OnOOM(func() { f.OOM, f.OOMAt = true, s.Now() })
+		probe := &probe{}
+		mem := probe.track("used_memory", "bytes", func() float64 { return float64(r.heap.Used()) })
+		req := probe.track("max.queue.size", "items", r.maxQueue)
+		resp := probe.track("response.queue.maxsize", "bytes", func() float64 { return float64(r.sv.RespBytes()) })
+		probe.start(r.s, func() bool { return r.s.Now() < figure8RunTime && !r.heap.OOM() })
 
-	f.Mem = Series{Name: "used_memory", Unit: "bytes"}
-	f.ReqKnob = Series{Name: "max.queue.size", Unit: "items"}
-	f.RespKnob = Series{Name: "response.queue.maxsize", Unit: "bytes"}
-	s.Every(time.Second, time.Second, func() bool {
-		f.Mem.Points = append(f.Mem.Points, Point{s.Now(), float64(heap.Used())})
-		f.ReqKnob.Points = append(f.ReqKnob.Points, Point{s.Now(), float64(sv.MaxQueue())})
-		f.RespKnob.Points = append(f.RespKnob.Points, Point{s.Now(), float64(sv.RespBytes())})
-		return s.Now() < figure8RunTime && !heap.OOM()
+		// Write workload from the start; reads join at ~50 s (the paper's
+		// second-workload arrival).
+		writes := workload.NewYCSB(88, 1000, workload.YCSBPhase{WriteRatio: 1, RequestBytes: 1 * mb})
+		r.s.Every(0, 50*time.Millisecond, func() bool {
+			r.sv.Offer(writes.NextOp())
+			return r.s.Now() < figure8RunTime && !r.heap.OOM()
+		})
+		reads := workload.NewYCSB(89, 1000, workload.YCSBPhase{WriteRatio: 0, RequestBytes: 4 << 10})
+		r.s.Every(50*time.Second, 60*time.Millisecond, func() bool {
+			r.sv.Offer(hb6728Op(reads.NextOp()))
+			return r.s.Now() < figure8RunTime && !r.heap.OOM()
+		})
+
+		r.s.RunUntil(figure8RunTime)
+		return Figure8{Mem: *mem, ReqKnob: *req, RespKnob: *resp, Goal: float64(rpcMemoryGoal),
+			OOM: r.heap.OOM(), OOMAt: r.oomAt, Completed: r.sv.Completed()}
 	})
-
-	// Write workload from the start; reads join at ~50 s (the paper's
-	// second-workload arrival).
-	writes := workload.NewYCSB(88, 1000, workload.YCSBPhase{WriteRatio: 1, RequestBytes: 1 * mb})
-	s.Every(0, 50*time.Millisecond, func() bool {
-		sv.Offer(writes.NextOp())
-		return s.Now() < figure8RunTime && !heap.OOM()
-	})
-	reads := workload.NewYCSB(89, 1000, workload.YCSBPhase{WriteRatio: 0, RequestBytes: 4 << 10})
-	s.Every(50*time.Second, 60*time.Millisecond, func() bool {
-		sv.Offer(hb6728Op(reads.NextOp()))
-		return s.Now() < figure8RunTime && !heap.OOM()
-	})
-
-	s.RunUntil(figure8RunTime)
-	f.Completed = sv.Completed()
-	return f
 }
 
 // RenderFigure8 prints the shared-goal study.

@@ -101,54 +101,52 @@ type FleetResult struct {
 // node's queue length, the fleet's total in-flight count) share this slope:
 // each queued item pins one ~1 MB payload somewhere in the fleet.
 func ProfileFleetMemory() core.Profile {
-	return memoProfile("FLEET-MEM", func() core.Profile {
-		const reference = 60
-		return profileSweep([]float64{40, 120, 240, 400}, func(setting float64, record func(setting, measurement float64)) {
-			s := newScenarioSim()
-			rng := rand.New(rand.NewSource(fleetSeed))
-			heaps := make([]*memsim.Heap, fleetNodes)
-			servers := make([]*rpcserver.Server, fleetNodes)
-			for i := range servers {
-				heaps[i] = memsim.NewHeap(4 << 30) // profiling must not OOM
-				servers[i] = rpcserver.New(s, heaps[i], rpcConfig())
-				servers[i].SetID(i)
-				if i == 0 {
-					servers[i].SetMaxQueue(int(setting))
-				} else {
-					servers[i].SetMaxQueue(reference)
-				}
+	const reference = 60
+	return profileSweep("FLEET-MEM", []float64{40, 120, 240, 400}, func(setting float64, record func(setting, measurement float64)) {
+		s := newScenarioSim()
+		rng := rand.New(rand.NewSource(fleetSeed))
+		heaps := make([]*memsim.Heap, fleetNodes)
+		servers := make([]*rpcserver.Server, fleetNodes)
+		for i := range servers {
+			heaps[i] = memsim.NewHeap(4 << 30) // profiling must not OOM
+			servers[i] = rpcserver.New(s, heaps[i], rpcConfig())
+			servers[i].SetID(i)
+			if i == 0 {
+				servers[i].SetMaxQueue(int(setting))
+			} else {
+				servers[i].SetMaxQueue(reference)
 			}
-			// Continuous overload (arrivals outpace service) keeps every
-			// queue pinned at its bound — the saturated regime the linear
-			// model must capture; sparse bursts would sample empty queues
-			// and profile the idle baseline instead.
-			taken := 0
-			s.Every(10*time.Second, 5*time.Second, func() bool {
-				if taken < 10 {
-					var total int64
-					for _, h := range heaps {
-						total += h.Used()
-					}
-					record(setting, float64(total))
-					taken++
+		}
+		// Continuous overload (arrivals outpace service) keeps every
+		// queue pinned at its bound — the saturated regime the linear
+		// model must capture; sparse bursts would sample empty queues
+		// and profile the idle baseline instead.
+		taken := 0
+		s.Every(10*time.Second, 5*time.Second, func() bool {
+			if taken < 10 {
+				var total int64
+				for _, h := range heaps {
+					total += h.Used()
 				}
-				return taken < 10
-			})
-			// Every node gets saturating bursts so each queue sits at its
-			// bound — the regime the linear model is fit for.
-			for i := range servers {
-				sv := servers[i]
-				w := &rpcWorkload{
-					gen:        workload.NewYCSB(fleetSeed+int64(i), 256, workload.YCSBPhase{WriteRatio: 1, RequestBytes: 1 * mb}),
-					burstSize:  2 * hb3813BurstSize,
-					burstEvery: hb3813BurstEvery,
-					spacing:    12 * time.Millisecond, // 600 ops over 7.2 s: back-to-back bursts
-					phases:     []workload.YCSBPhase{{Name: "profiling", WriteRatio: 1, RequestBytes: 1 * mb}},
-				}
-				w.run(s, 70*time.Second, rng, func(op workload.Op) { sv.Offer(op) })
+				record(setting, float64(total))
+				taken++
 			}
-			s.RunUntil(70 * time.Second)
+			return taken < 10
 		})
+		// Every node gets saturating bursts so each queue sits at its
+		// bound — the regime the linear model is fit for.
+		for i := range servers {
+			sv := servers[i]
+			w := &rpcWorkload{
+				gen:        workload.NewYCSB(fleetSeed+int64(i), 256, workload.YCSBPhase{WriteRatio: 1, RequestBytes: 1 * mb}),
+				burstSize:  2 * hb3813BurstSize,
+				burstEvery: hb3813BurstEvery,
+				spacing:    12 * time.Millisecond, // 600 ops over 7.2 s: back-to-back bursts
+				phases:     []workload.YCSBPhase{{Name: "profiling", WriteRatio: 1, RequestBytes: 1 * mb}},
+			}
+			w.run(s, 70*time.Second, rng, func(op workload.Op) { sv.Offer(op) })
+		}
+		s.RunUntil(70 * time.Second)
 	})
 }
 

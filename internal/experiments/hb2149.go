@@ -1,14 +1,14 @@
 package experiments
 
 import (
-	"fmt"
-	"math/rand"
 	"time"
 
 	"smartconf"
+	"smartconf/internal/chaos"
 	"smartconf/internal/core"
 	"smartconf/internal/kvstore"
 	"smartconf/internal/memsim"
+	"smartconf/internal/sim"
 	"smartconf/internal/workload"
 )
 
@@ -42,141 +42,121 @@ func hb2149Config() kvstore.MemstoreConfig {
 	}
 }
 
-// hb2149Block predicts the block time for a flush fraction under the
-// configured store (for grid/default documentation; the controller learns
-// this from profiling, not from this formula).
-func hb2149Block(fraction float64) float64 {
-	cfg := hb2149Config()
-	return cfg.FlushFixedOverhead.Seconds() + fraction*float64(cfg.UpperLimitBytes)/float64(cfg.FlushBytesPerSec)
-}
-
 // ProfileHB2149 profiles block duration against the pinned flush fraction
 // under the profiling workload (YCSB 1.0W, 1 MB).
 func ProfileHB2149() core.Profile {
-	return memoProfile("HB2149", func() core.Profile {
-		return profileSweep([]float64{0.2, 0.4, 0.6, 0.8}, func(setting float64, record func(setting, measurement float64)) {
-			s := newScenarioSim()
-			heap := memsim.NewHeap(2 << 30)
-			st := kvstore.NewMemstore(s, heap, hb2149Config(), setting)
-			taken := 0
-			gen := workload.NewYCSB(2149, 1000, workload.YCSBPhase{WriteRatio: 1, RequestBytes: 1 * mb})
-			s.Every(0, hb2149WriteEvery, func() bool {
-				st.Write(gen.NextOp().Bytes)
-				// One measurement per completed flush, up to 10.
-				if n := st.BlockTimes().Count(); int(n) > taken && taken < 10 {
-					record(setting, st.BlockTimes().Last().Seconds())
-					taken = int(n)
-				}
-				return taken < 10 && !st.Crashed()
-			})
-			s.Run()
+	return profileSweep("HB2149", []float64{0.2, 0.4, 0.6, 0.8}, func(setting float64, record func(setting, measurement float64)) {
+		r := newMemstoreRig(time.Hour) // the sampler stops the run far earlier
+		r.actuate(setting)
+		r.load(2149, nil)
+		taken := 0
+		r.s.Every(0, hb2149WriteEvery, func() bool {
+			// One measurement per completed flush, up to 10.
+			if n := r.st.BlockTimes().Count(); int(n) > taken && taken < 10 {
+				record(setting, r.st.BlockTimes().Last().Seconds())
+				taken = int(n)
+			}
+			if taken >= 10 {
+				r.s.Stop()
+			}
+			return taken < 10
 		})
+		r.s.RunUntil(time.Hour)
 	})
 }
 
-// hb2149Sensor builds the per-flush hook: read the last completed flush's
-// block time, feed the controller, apply the new fraction. The first flush
-// has no completed measurement yet (Count() == 0), so the hook holds the
-// Initial fraction instead of acting on a phantom 0 s sample that would
-// read "goal comfortably met" and push the knob off fabricated data.
-func hb2149Sensor(st *kvstore.Memstore, sc *smartconf.Conf) func() {
-	return func() {
-		if st.BlockTimes().Count() == 0 {
-			return
-		}
-		last := st.BlockTimes().Last().Seconds() //sc:HB2149:sensor
-		sc.SetPerf(last)                         //sc:HB2149:invoke
-		st.SetFlushFraction(sc.Value())          //sc:HB2149:invoke
+// hb2149Spec is the flush-fraction controller every HB2149 harness
+// synthesizes.
+func hb2149Spec() smartconf.Spec {
+	return smartconf.Spec{
+		Name:    "global.memstore.lowerLimit",
+		Metric:  "write_block_time",
+		Goal:    hb2149Goal1,
+		Hard:    false, // soft constraint: SLA-style, occasional excursions tolerated
+		Initial: 0.5,
+		Min:     0.01, Max: 1,
 	}
+}
+
+// memstoreRig is the HB2149 memstore substrate wired once for the figure
+// and chaos harnesses.
+type memstoreRig struct {
+	s     *sim.Simulation
+	st    *kvstore.Memstore
+	until time.Duration
+}
+
+func newMemstoreRig(until time.Duration) *memstoreRig {
+	s := newScenarioSim()
+	return &memstoreRig{s: s, st: kvstore.NewMemstore(s, memsim.NewHeap(2<<30), hb2149Config(), 0.5), until: until}
+}
+
+// sense reads the last completed flush's block time.
+func (r *memstoreRig) sense() (perf, deputy float64) {
+	return r.st.BlockTimes().Last().Seconds(), 0 //sc:HB2149:sensor
+}
+
+func (r *memstoreRig) actuate(v float64) { r.st.SetFlushFraction(v) } //sc:HB2149:invoke
+
+// attach runs tick when a flush triggers: conditional configuration, the
+// natural call site IS the condition (§4.2). The first flush has no
+// completed measurement yet (Count() == 0), so tick waits for one instead
+// of acting on a phantom 0 s sample that would read "goal comfortably met"
+// and push the knob off fabricated data.
+func (r *memstoreRig) attach(tick func()) {
+	r.st.BeforeFlush = func() {
+		if r.st.BlockTimes().Count() > 0 {
+			tick()
+		}
+	}
+}
+
+// load writes 1 MB every hb2149WriteEvery, surge times over.
+func (r *memstoreRig) load(seed int64, env *chaos.Env) {
+	gen := workload.NewYCSB(seed, 1000, workload.YCSBPhase{WriteRatio: 1, RequestBytes: 1 * mb})
+	r.s.Every(0, hb2149WriteEvery, func() bool {
+		for i := 0; i < int(env.SurgeFactor()+0.5); i++ {
+			r.st.Write(gen.NextOp().Bytes)
+		}
+		return r.s.Now() < r.until && !r.st.Crashed()
+	})
+}
+
+// probe samples each new block time and the flush fraction.
+func (r *memstoreRig) probe() *probe {
+	p := &probe{}
+	p.trackNew("block_time", "s", fresh(r.st.BlockTimes().Count), func() float64 { return r.st.BlockTimes().Last().Seconds() })
+	p.track("flush_fraction", "fraction", r.st.FlushFraction)
+	p.start(r.s, func() bool { return r.s.Now() < r.until && !r.st.Crashed() })
+	return p
 }
 
 // RunHB2149 executes the two-phase evaluation under the given policy.
 func RunHB2149(p Policy) Result {
-	s := newScenarioSim()
-	rng := rand.New(rand.NewSource(2149))
-	heap := memsim.NewHeap(2 << 30)
-	st := kvstore.NewMemstore(s, heap, hb2149Config(), 0.5)
+	r := newMemstoreRig(hb2149RunTime)
 
-	var setGoal func(float64)
+	setGoal := func(float64) {} // static policies have no goal to move
 	switch p.Kind {
 	case StaticPolicy:
-		st.SetFlushFraction(p.Static)
+		r.st.SetFlushFraction(p.Static)
 	case SmartConfPolicy:
-		profile := ProfileHB2149()
-		sc, err := smartconf.New(smartconf.Spec{
-			Name:    "global.memstore.lowerLimit",
-			Metric:  "write_block_time",
-			Goal:    hb2149Goal1,
-			Hard:    false, // soft constraint: SLA-style, occasional excursions tolerated
-			Initial: 0.5,
-			Min:     0.01, Max: 1,
-		}, publicProfile(profile))
-		if err != nil {
-			panic(fmt.Sprintf("HB2149 synthesis: %v", err))
-		}
-		// Conditional configuration: the controller runs only when a flush
-		// actually triggers (§4.2 — the natural call sites ARE the
-		// condition).
-		st.BeforeFlush = hb2149Sensor(st, sc)
-		setGoal = sc.SetGoal
+		sc := mustConf(hb2149Spec(), ProfileHB2149())
+		control(r, directStep(sc))
+		setGoal = sc.SetGoal //sc:HB2149:invoke
 	case SinglePolePolicy, NoVirtualGoalPolicy:
 		// The Figure 7 ablations target hard memory goals; for this soft
 		// scenario they behave like SmartConf and are not studied.
 		return runCached(HB2149Scenario(), SmartConf())
 	}
 
-	blockS := Series{Name: "block_time", Unit: "s"}
-	knobS := Series{Name: "flush_fraction", Unit: "fraction"}
-	tputS := Series{Name: "write_throughput", Unit: "ops/s"}
-	seen := int64(0)
-	s.Every(time.Second, time.Second, func() bool {
-		if n := st.BlockTimes().Count(); n > seen {
-			blockS.Points = append(blockS.Points, Point{s.Now(), st.BlockTimes().Last().Seconds()})
-			seen = n
-		}
-		knobS.Points = append(knobS.Points, Point{s.Now(), st.FlushFraction()})
-		tputS.Points = append(tputS.Points, Point{s.Now(), st.Throughput()})
-		return s.Now() < hb2149RunTime
-	})
+	probe := r.probe()
+	probe.track("write_throughput", "ops/s", r.st.Throughput)
+	r.s.At(hb2149PhaseShift, func() { setGoal(hb2149Goal2) })
+	r.load(2150, nil)
+	r.s.RunUntil(hb2149RunTime)
 
-	s.At(hb2149PhaseShift, func() {
-		if setGoal != nil {
-			setGoal(hb2149Goal2)
-		}
-	})
-
-	gen := workload.NewYCSB(2150, 1000, workload.YCSBPhase{WriteRatio: 1, RequestBytes: 1 * mb})
-	_ = rng
-	s.Every(0, hb2149WriteEvery, func() bool {
-		st.Write(gen.NextOp().Bytes)
-		return s.Now() < hb2149RunTime && !st.Crashed()
-	})
-	s.RunUntil(hb2149RunTime)
-
-	res := Result{
-		Issue:          "HB2149",
-		Policy:         p,
-		TradeoffName:   "write throughput (ops/s)",
-		HigherIsBetter: true,
-		Tradeoff:       float64(st.Writes()) / hb2149RunTime.Seconds(),
-		Series:         []Series{blockS, knobS, tputS},
-	}
-	goalAt := func(t time.Duration) float64 {
-		if t < hb2149PhaseShift+hb2149Grace {
-			return hb2149Goal1
-		}
-		return hb2149Goal2
-	}
-	// Soft constraint tolerance: block-time goals are SLA-like; allow 5%
-	// measurement slack (the paper's soft goals are not overshoot-free).
-	met, at, worst := evalUpperBound(blockS, func(t time.Duration) float64 { return goalAt(t) * 1.05 })
-	if !met {
-		res.ConstraintMet = false
-		res.ViolatedAt = at
-		res.Violation = fmt.Sprintf("block %.1fs > goal %.1fs", worst, goalAt(at))
-	} else {
-		res.ConstraintMet = true
-	}
+	res := HB2149Scenario().result(p, float64(r.st.Writes())/hb2149RunTime.Seconds(), probe)
+	judgeSoft(&res, probe.metric(), goalChange(hb2149Goal1, hb2149Goal2, hb2149PhaseShift+hb2149Grace), "block")
 	return res
 }
 

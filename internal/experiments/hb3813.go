@@ -1,14 +1,10 @@
 package experiments
 
 import (
-	"fmt"
-	"math/rand"
 	"time"
 
 	"smartconf"
 	"smartconf/internal/core"
-	"smartconf/internal/memsim"
-	"smartconf/internal/rpcserver"
 	"smartconf/internal/workload"
 )
 
@@ -35,203 +31,105 @@ func hb3813Phases() []workload.YCSBPhase {
 	}
 }
 
+// hb3813Spec is the queue-bound controller every HB3813 harness
+// synthesizes: the 495 MB hard memory goal, starting from the paper's
+// deliberately poor value 0 (Fig. 6c).
+func hb3813Spec() smartconf.Spec {
+	return smartconf.Spec{
+		Name:    "ipc.server.max.queue.size",
+		Metric:  "memory_consumption",
+		Goal:    float64(rpcMemoryGoal),
+		Hard:    true,
+		Initial: 0,
+		Min:     0, Max: 5000,
+	}
+}
+
 // ProfileHB3813 runs the paper's profiling campaign: the PROFILING workload
 // (YCSB 1.0W, 1 MB — distinct from the evaluation's two-phase workload) with
 // ipc.server.max.queue.size pinned at 40, 80, 120 and 160 (the paper's
 // values), collecting 10 heap measurements per setting, taken at enqueue
 // time as §6.1 describes.
 func ProfileHB3813() core.Profile {
-	return memoProfile("HB3813", func() core.Profile {
-		return profileSweep([]float64{40, 80, 120, 160}, func(setting float64, record func(setting, measurement float64)) {
-			s := newScenarioSim()
-			rng := rand.New(rand.NewSource(3813))
-			heap := memsim.NewHeap(rpcHeapCapacity)
-			sv := rpcserver.New(s, heap, rpcConfig())
-			sv.SetMaxQueue(int(setting))
-			heapNoise(s, heap, rng, rpcNoiseMax, hb3813ProfileStep)
-
-			enqueues, taken := 0, 0
-			sv.BeforeAdmit = func() {
-				enqueues++
-				// Spread 10 samples across the window: one every ~200 enqueues.
-				if enqueues%200 == 0 && taken < 10 {
-					record(setting, float64(heap.Used()))
-					taken++
-				}
+	return profileSweep("HB3813", []float64{40, 80, 120, 160}, func(setting float64, record func(setting, measurement float64)) {
+		r := newRPCRig(newScenarioSim(), 3813, rpcHeapCapacity, rpcConfig(), hb3813ProfileStep)
+		r.sv.SetMaxQueue(int(setting))
+		r.noise()
+		enqueues, taken := 0, 0
+		r.attach(func() {
+			enqueues++
+			// Spread 10 samples across the window: one every ~200 enqueues.
+			if enqueues%200 == 0 && taken < 10 {
+				record(setting, float64(r.heap.Used()))
+				taken++
 			}
-			w := &rpcWorkload{
-				gen:        workload.NewYCSB(3813, 1000, workload.YCSBPhase{WriteRatio: 1, RequestBytes: 1 * mb}),
-				burstSize:  hb3813BurstSize,
-				burstEvery: hb3813BurstEvery,
-				spacing:    hb3813Spacing,
-				phases:     []workload.YCSBPhase{{Name: "profiling", WriteRatio: 1, RequestBytes: 1 * mb}},
-			}
-			w.run(s, hb3813ProfileStep, rng, func(op workload.Op) { sv.Offer(op) })
-			s.RunUntil(hb3813ProfileStep)
 		})
+		r.load(ycsbBursts(3813, hb3813BurstSize, hb3813BurstEvery, hb3813Spacing,
+			workload.YCSBPhase{Name: "profiling", WriteRatio: 1, RequestBytes: 1 * mb}))
+		r.s.RunUntil(hb3813ProfileStep)
 	})
+}
+
+// hb3813Load is one HB3813 workload: phases, horizon, seed and burst shape.
+type hb3813Load struct {
+	phases              []workload.YCSBPhase
+	runTime             time.Duration
+	seed                int64
+	burstSize           int
+	burstEvery, spacing time.Duration
+}
+
+// hb3813Standard is the two-phase evaluation workload.
+func hb3813Standard() hb3813Load {
+	return hb3813Load{hb3813Phases(), hb3813RunTime, 3813, hb3813BurstSize, hb3813BurstEvery, hb3813Spacing}
 }
 
 // RunHB3813 executes the two-phase evaluation under the given policy.
 func RunHB3813(p Policy) Result {
-	return runHB3813(p, hb3813Phases(), hb3813RunTime, 3813,
-		hb3813BurstSize, hb3813BurstEvery, hb3813Spacing)
+	return runHB3813(p, hb3813Standard(), hb3813Policy(p))
 }
 
-// runHB3813 is shared with the Figure 7 ablation, which uses a less stable
-// workload (steady overload instead of bursts, with a mid-run size jump).
-func runHB3813(p Policy, phases []workload.YCSBPhase, runTime time.Duration, seed int64,
-	burstSize int, burstEvery, spacing time.Duration) Result {
-	s := newScenarioSim()
-	rng := rand.New(rand.NewSource(seed))
-	heap := memsim.NewHeap(rpcHeapCapacity)
-	sv := rpcserver.New(s, heap, rpcConfig())
+// runHB3813 runs one HB3813 workload; attach wires the knob's policy onto
+// the rig before any load is registered. The Figure 7 ablation and the
+// beyond-the-paper ablations share it with their own policies.
+func runHB3813(p Policy, l hb3813Load, attach func(r *rpcRig)) Result {
+	r := newRPCRig(newScenarioSim(), l.seed, rpcHeapCapacity, rpcConfig(), l.runTime)
+	attach(r)
+	r.noise()
+	probe := r.probe(r.maxQueue, "max.queue.size")
+	r.load(ycsbBursts(l.seed+1, l.burstSize, l.burstEvery, l.spacing, l.phases...))
+	return r.result(HB3813Scenario(), p, probe, constGoal(float64(rpcMemoryGoal)))
+}
 
+// hb3813Policy wires a Policy onto the HB3813 rig.
+func hb3813Policy(p Policy) func(r *rpcRig) {
 	switch {
 	case p.Kind == StaticPolicy:
-		sv.SetMaxQueue(int(p.Static))
+		return func(r *rpcRig) { r.sv.SetMaxQueue(int(p.Static)) }
 	case p.Kind == SmartConfPolicy && p.FixedPole == 0:
-		profile := ProfileHB3813()
-		ic, err := smartconf.NewIndirect(smartconf.Spec{
-			Name:    "ipc.server.max.queue.size",
-			Metric:  "memory_consumption",
-			Goal:    float64(rpcMemoryGoal),
-			Hard:    true,
-			Initial: 0, // the paper's deliberately poor starting value (Fig. 6c)
-			Min:     0, Max: 5000,
-		}, publicProfile(profile), nil)
-		if err != nil {
-			panic(fmt.Sprintf("HB3813 synthesis: %v", err))
-		}
-		// Integration shim — the paper's Table 7 counts exactly this kind of
-		// code (sensor read, setPerf/getConf calls at the enqueue site).
-		sv.BeforeAdmit = func() {
-			ic.SetPerf(float64(heap.Used()), float64(sv.QueueLen())) //sc:HB3813:sensor
-			sv.SetMaxQueue(ic.Conf())                                //sc:HB3813:invoke
-		}
-	default: // the Figure 7 study: pinned-pole SmartConf and the two ablations
-		ctrl, err := ablationController(p.Kind, ProfileHB3813(), float64(rpcMemoryGoal), p.FixedPole)
-		if err != nil {
-			panic(fmt.Sprintf("HB3813 ablation synthesis: %v", err))
-		}
-		sv.SetMaxQueue(0) // the same poor initial value every policy starts from
-		// All three controllers sample at the same 1 Hz cadence so the only
-		// differences under test are the §5.2 mechanisms themselves (virtual
-		// goal, danger-region pole). SmartConf additionally applies the
-		// §5.3 indirect-configuration treatment (update from the deputy's
-		// current value); the baselines are classic incremental controllers.
-		s.Every(time.Second, time.Second, func() bool {
-			if sv.Crashed() {
+		return func(r *rpcRig) { r.decide(roundedStep(mustIndirect(hb3813Spec(), ProfileHB3813(), nil))) }
+	}
+	// The Figure 7 study: pinned-pole SmartConf and the two ablations. All
+	// three controllers sample at the same 1 Hz cadence so the only
+	// differences under test are the §5.2 mechanisms themselves (virtual
+	// goal, danger-region pole). SmartConf additionally applies the §5.3
+	// indirect-configuration treatment (update from the deputy's current
+	// value); the baselines are classic incremental controllers.
+	return func(r *rpcRig) {
+		ctrl := ablationController(p.Kind, ProfileHB3813(), float64(rpcMemoryGoal), p.FixedPole)
+		r.sv.SetMaxQueue(0) // the same poor initial value every policy starts from
+		r.s.Every(time.Second, time.Second, func() bool {
+			if r.sv.Crashed() {
 				return false
 			}
+			perf, deputy := r.sense()
 			if p.Kind == SmartConfPolicy {
-				ctrl.SetConf(float64(sv.QueueLen()))
+				ctrl.SetConf(deputy)
 			}
-			sv.SetMaxQueue(int(ctrl.Update(float64(heap.Used()))))
-			return s.Now() < runTime
+			r.actuate(ctrl.Update(perf))
+			return r.s.Now() < r.until
 		})
 	}
-
-	heapNoise(s, heap, rng, rpcNoiseMax, runTime)
-	probe := startRPCProbe(s, heap, sv, func() float64 { return float64(sv.MaxQueue()) },
-		"max.queue.size", runTime)
-
-	w := &rpcWorkload{
-		gen:        workload.NewYCSB(seed+1, 1000, phases[0]),
-		burstSize:  burstSize,
-		burstEvery: burstEvery,
-		spacing:    spacing,
-		phases:     phases,
-	}
-	var oomAt time.Duration
-	heap.OnOOM(func() { oomAt = s.Now() })
-	w.run(s, runTime, rng, func(op workload.Op) { sv.Offer(op) })
-	s.RunUntil(runTime)
-
-	res := Result{
-		Issue:          "HB3813",
-		Policy:         p,
-		Tradeoff:       sv.Throughput(), // placeholder, replaced below
-		TradeoffName:   "completed ops/s",
-		HigherIsBetter: true,
-		Series:         []Series{probe.mem, probe.knob, probe.throughput, probe.completed},
-	}
-	res.Tradeoff = float64(sv.Completed()) / runTime.Seconds()
-
-	met, at, worst := evalUpperBound(probe.mem, func(time.Duration) float64 { return float64(rpcMemoryGoal) })
-	switch {
-	case heap.OOM():
-		res.ConstraintMet = false
-		res.ViolatedAt = oomAt
-		res.Violation = "OOM"
-	case !met:
-		res.ConstraintMet = false
-		res.ViolatedAt = at
-		res.Violation = fmt.Sprintf("memory %.0fMB > goal %.0fMB", worst/float64(mb), float64(rpcMemoryGoal)/float64(mb))
-	default:
-		res.ConstraintMet = true
-	}
-	return res
-}
-
-// runHB3813Custom runs the standard two-phase HB3813 evaluation with an
-// arbitrary knob policy: decide receives (heap used, queue length) at every
-// admission and returns the max.queue.size to apply. Used by the ablation
-// harness.
-func runHB3813Custom(decide func(heapUsed float64, queueLen int) int) Result {
-	s := newScenarioSim()
-	rng := rand.New(rand.NewSource(3813))
-	heap := memsim.NewHeap(rpcHeapCapacity)
-	sv := rpcserver.New(s, heap, rpcConfig())
-	sv.SetMaxQueue(0)
-	sv.BeforeAdmit = func() {
-		sv.SetMaxQueue(decide(float64(heap.Used()), sv.QueueLen()))
-	}
-
-	heapNoise(s, heap, rng, rpcNoiseMax, hb3813RunTime)
-	probe := startRPCProbe(s, heap, sv, func() float64 { return float64(sv.MaxQueue()) },
-		"max.queue.size", hb3813RunTime)
-
-	w := &rpcWorkload{
-		gen:        workload.NewYCSB(3814, 1000, hb3813Phases()[0]),
-		burstSize:  hb3813BurstSize,
-		burstEvery: hb3813BurstEvery,
-		spacing:    hb3813Spacing,
-		phases:     hb3813Phases(),
-	}
-	var oomAt time.Duration
-	heap.OnOOM(func() { oomAt = s.Now() })
-	w.run(s, hb3813RunTime, rng, func(op workload.Op) { sv.Offer(op) })
-	s.RunUntil(hb3813RunTime)
-
-	res := Result{
-		Issue:          "HB3813",
-		Policy:         Policy{Kind: SmartConfPolicy},
-		TradeoffName:   "completed ops/s",
-		HigherIsBetter: true,
-		Tradeoff:       float64(sv.Completed()) / hb3813RunTime.Seconds(),
-		Series:         []Series{probe.mem, probe.knob, probe.throughput, probe.completed},
-	}
-	met, at, worst := evalUpperBound(probe.mem, func(time.Duration) float64 { return float64(rpcMemoryGoal) })
-	switch {
-	case heap.OOM():
-		res.ConstraintMet, res.ViolatedAt, res.Violation = false, oomAt, "OOM"
-	case !met:
-		res.ConstraintMet, res.ViolatedAt = false, at
-		res.Violation = fmt.Sprintf("memory %.0fMB > goal %.0fMB", worst/float64(mb), float64(rpcMemoryGoal)/float64(mb))
-	default:
-		res.ConstraintMet = true
-	}
-	return res
-}
-
-// runHB3813Core drives the evaluation with a prebuilt core controller using
-// full SmartConf semantics (deputy reset per §5.3).
-func runHB3813Core(ctrl *core.Controller) Result {
-	return runHB3813Custom(func(heapUsed float64, queueLen int) int {
-		ctrl.SetConf(float64(queueLen))
-		return int(ctrl.Update(heapUsed))
-	})
 }
 
 // HB3813Scenario returns the scenario descriptor.

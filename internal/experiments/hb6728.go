@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"fmt"
-	"math/rand"
 	"time"
 
 	"smartconf"
 	"smartconf/internal/core"
-	"smartconf/internal/memsim"
 	"smartconf/internal/rpcserver"
 	"smartconf/internal/workload"
 )
@@ -72,79 +69,64 @@ func hb6728Op(op workload.Op) workload.Op {
 // ProfileHB6728 profiles heap consumption against the pinned response-queue
 // byte bound under the profiling workload (YCSB 0.0W, 2 MB).
 func ProfileHB6728() core.Profile {
-	return memoProfile("HB6728", func() core.Profile {
-		settings := []float64{32 * float64(mb), 64 * float64(mb), 96 * float64(mb), 128 * float64(mb)}
-		return profileSweep(settings, func(setting float64, record func(setting, measurement float64)) {
-			s := newScenarioSim()
-			rng := rand.New(rand.NewSource(6728))
-			heap := memsim.NewHeap(rpcHeapCapacity)
-			sv := rpcserver.New(s, heap, hb6728Config())
-			sv.SetMaxQueue(1000)
-			sv.SetMaxRespBytes(int64(setting))
-			heapNoise(s, heap, rng, rpcNoiseMax, hb3813ProfileStep)
+	settings := []float64{32 * float64(mb), 64 * float64(mb), 96 * float64(mb), 128 * float64(mb)}
+	return profileSweep("HB6728", settings, func(setting float64, record func(setting, measurement float64)) {
+		r := newRPCRig(newScenarioSim(), 6728, rpcHeapCapacity, hb6728Config(), hb3813ProfileStep)
+		r.sv.SetMaxQueue(1000)
+		r.sv.SetMaxRespBytes(int64(setting))
+		r.noise()
 
-			// Time-driven sensor sampling (1 every 6 s): responds cluster inside
-			// bursts, so sampling there would systematically miss the idle-heap
-			// troughs and underestimate the system's variability (λ).
-			taken := 0
-			s.Every(3*time.Second, 6*time.Second, func() bool {
-				if taken < 10 && !heap.OOM() {
-					record(setting, float64(heap.Used()))
-					taken++
-				}
-				return taken < 10
-			})
-			w := &rpcWorkload{
-				gen:        workload.NewYCSB(6728, 1000, workload.YCSBPhase{WriteRatio: 0, RequestBytes: 4 << 10}),
-				burstSize:  hb6728BurstSize,
-				burstEvery: hb6728BurstEvery,
-				spacing:    hb6728Spacing,
-				phases:     []workload.YCSBPhase{{Name: "profiling", WriteRatio: 0, RequestBytes: 4 << 10}},
-			}
-			w.run(s, hb3813ProfileStep, rng, func(op workload.Op) { sv.Offer(hb6728Op(op)) })
-			s.RunUntil(hb3813ProfileStep)
+		// Time-driven sensor sampling (1 every 6 s): responds cluster inside
+		// bursts, so sampling there would systematically miss the idle-heap
+		// troughs and underestimate the system's variability (λ).
+		sampleTen(r.s, 3*time.Second, 6*time.Second, record, func() (float64, float64, bool) {
+			return setting, float64(r.heap.Used()), !r.heap.OOM()
 		})
+		hb6728Load(r, ycsbBursts(6728, hb6728BurstSize, hb6728BurstEvery, hb6728Spacing,
+			workload.YCSBPhase{Name: "profiling", WriteRatio: 0, RequestBytes: 4 << 10}))
+		r.s.RunUntil(hb3813ProfileStep)
 	})
+}
+
+// hb6728Load offers a burst workload through hb6728Op.
+func hb6728Load(r *rpcRig, w *rpcWorkload) {
+	w.run(r.s, r.until, r.rng, func(op workload.Op) { r.sv.Offer(hb6728Op(op)) })
+}
+
+// hb6728Control attaches an indirect controller to the response-queue
+// bound: sensed and applied at every respond.
+func hb6728Control(r *rpcRig, ic *smartconf.IndirectConf) {
+	r.sv.BeforeRespond = func() {
+		ic.SetPerf(float64(r.heap.Used()), float64(r.sv.RespBytes())) //sc:HB6728:sensor
+		r.sv.SetMaxRespBytes(int64(ic.Value()))                       //sc:HB6728:invoke
+	}
 }
 
 // RunHB6728 executes the two-phase evaluation under the given policy.
 func RunHB6728(p Policy) Result {
-	s := newScenarioSim()
-	rng := rand.New(rand.NewSource(6728))
-	heap := memsim.NewHeap(rpcHeapCapacity)
-	sv := rpcserver.New(s, heap, hb6728Config())
-	sv.SetMaxQueue(1000) // the request queue is not the knob under study here
+	r := newRPCRig(newScenarioSim(), 6728, rpcHeapCapacity, hb6728Config(), hb6728RunTime)
+	r.sv.SetMaxQueue(1000) // the request queue is not the knob under study here
 
-	var setGoal func(float64)
+	setGoal := func(float64) {} // static policies have no goal to move
 	switch p.Kind {
 	case StaticPolicy:
-		sv.SetMaxRespBytes(int64(p.Static))
+		r.sv.SetMaxRespBytes(int64(p.Static))
 	case SmartConfPolicy:
-		profile := ProfileHB6728()
-		ic, err := smartconf.NewIndirect(smartconf.Spec{
+		ic := mustIndirect(smartconf.Spec{
 			Name:    "ipc.server.response.queue.maxsize",
 			Metric:  "memory_consumption",
 			Goal:    float64(rpcMemoryGoal),
 			Hard:    true,
 			Initial: 0,
 			Min:     0, Max: 1e9,
-		}, publicProfile(profile), nil)
-		if err != nil {
-			panic(fmt.Sprintf("HB6728 synthesis: %v", err))
-		}
-		sv.BeforeRespond = func() {
-			ic.SetPerf(float64(heap.Used()), float64(sv.RespBytes())) //sc:HB6728:sensor
-			sv.SetMaxRespBytes(int64(ic.Value()))                     //sc:HB6728:invoke
-		}
+		}, ProfileHB6728(), nil)
+		hb6728Control(r, ic)
 		setGoal = ic.SetGoal //sc:HB6728:invoke
 	case SinglePolePolicy, NoVirtualGoalPolicy:
-		ctrl, err := ablationController(p.Kind, ProfileHB6728(), float64(rpcMemoryGoal), p.FixedPole)
-		if err != nil {
-			panic(fmt.Sprintf("HB6728 ablation synthesis: %v", err))
-		}
-		sv.BeforeRespond = func() {
-			ctrl.SetConf(float64(sv.RespBytes()))
-			sv.SetMaxRespBytes(int64(ctrl.Update(float64(heap.Used()))))
+		ctrl := ablationController(p.Kind, ProfileHB6728(), float64(rpcMemoryGoal), p.FixedPole)
+		r.sv.BeforeRespond = func() {
+			ctrl.SetConf(float64(r.sv.RespBytes()))
+			r.sv.SetMaxRespBytes(int64(ctrl.Update(float64(r.heap.Used()))))
 		}
 		setGoal = func(g float64) {
 			if p.Kind == SinglePolePolicy {
@@ -154,61 +136,15 @@ func RunHB6728(p Policy) Result {
 		}
 	}
 
-	heapNoise(s, heap, rng, rpcNoiseMax, hb6728RunTime)
-	probe := startRPCProbe(s, heap, sv, func() float64 { return float64(sv.MaxRespBytes()) },
-		"response.queue.maxsize", hb6728RunTime)
+	r.noise()
+	probe := r.probe(func() float64 { return float64(r.sv.MaxRespBytes()) }, "response.queue.maxsize")
 
 	// Mid-run the user tightens the memory goal (the paper's setGoal API).
-	s.At(hb6728PhaseShift, func() {
-		if setGoal != nil {
-			setGoal(float64(hb6728Goal2))
-		}
-	})
+	r.s.At(hb6728PhaseShift, func() { setGoal(float64(hb6728Goal2)) })
 
-	w := &rpcWorkload{
-		gen:        workload.NewYCSB(6729, 1000, hb6728Phases()[0]),
-		burstSize:  hb6728BurstSize,
-		burstEvery: hb6728BurstEvery,
-		spacing:    hb6728Spacing,
-		phases:     hb6728Phases(),
-	}
-	var oomAt time.Duration
-	heap.OnOOM(func() { oomAt = s.Now() })
-	w.run(s, hb6728RunTime, rng, func(op workload.Op) { sv.Offer(hb6728Op(op)) })
-	s.RunUntil(hb6728RunTime)
-
-	res := Result{
-		Issue:          "HB6728",
-		Policy:         p,
-		TradeoffName:   "completed ops/s",
-		HigherIsBetter: true,
-		Tradeoff:       float64(sv.Completed()) / hb6728RunTime.Seconds(),
-		Series:         []Series{probe.mem, probe.knob, probe.throughput, probe.completed},
-	}
-	goalAt := func(t time.Duration) float64 {
-		switch {
-		case t < hb6728PhaseShift:
-			return float64(hb6728Goal1)
-		case t < hb6728PhaseShift+hb6728Grace:
-			return float64(hb6728Goal1) // settling window after the goal change
-		default:
-			return float64(hb6728Goal2)
-		}
-	}
-	met, at, worst := evalUpperBound(probe.mem, goalAt)
-	switch {
-	case heap.OOM():
-		res.ConstraintMet = false
-		res.ViolatedAt = oomAt
-		res.Violation = "OOM"
-	case !met:
-		res.ConstraintMet = false
-		res.ViolatedAt = at
-		res.Violation = fmt.Sprintf("memory %.0fMB > goal %.0fMB", worst/float64(mb), goalAt(at)/float64(mb))
-	default:
-		res.ConstraintMet = true
-	}
-	return res
+	hb6728Load(r, ycsbBursts(6729, hb6728BurstSize, hb6728BurstEvery, hb6728Spacing, hb6728Phases()...))
+	return r.result(HB6728Scenario(), p, probe,
+		goalChange(float64(hb6728Goal1), float64(hb6728Goal2), hb6728PhaseShift+hb6728Grace))
 }
 
 // HB6728Scenario returns the scenario descriptor.

@@ -17,7 +17,7 @@ func TestHB6728ProfileShape(t *testing.T) {
 	if m.Alpha <= 0 {
 		t.Errorf("α = %v, want positive (more response bytes → more heap)", m.Alpha)
 	}
-	t.Logf("model %v, λ=%.3f pole=%.3f", m, p.Lambda(), core_PoleForTest(p))
+	t.Logf("model %v, λ=%.3f pole=%.3f", m, p.Lambda(), synthesizedPole(p))
 }
 
 func TestHB6728DefaultsOOM(t *testing.T) {

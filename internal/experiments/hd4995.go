@@ -1,13 +1,14 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
 	"smartconf"
+	"smartconf/internal/chaos"
 	"smartconf/internal/core"
 	"smartconf/internal/dfs"
+	"smartconf/internal/sim"
 )
 
 // HD4995: content-summary.limit decides how many files a du traversal
@@ -41,146 +42,136 @@ func hd4995Config() dfs.Config {
 // ProfileHD4995 profiles lock-hold duration against the pinned chunk limit
 // under the profiling workload (TestDFSIO, single client: light writer load).
 func ProfileHD4995() core.Profile {
-	return memoProfile("HD4995", func() core.Profile {
-		return profileSweep([]float64{5_000, 15_000, 30_000, 60_000}, func(setting float64, record func(setting, measurement float64)) {
-			s := newScenarioSim()
-			nn := dfs.New(s, hd4995Config(), int(setting))
-			// Single writer client at 2 writes/s (the profiling workload).
-			s.Every(0, 500*time.Millisecond, func() bool {
-				nn.Write()
-				return s.Now() < 10*time.Minute
-			})
-			// Samples pair the deputy (files actually traversed in the hold)
-			// with the measured hold time; partial final chunks are thereby
-			// attributed to their true size instead of biasing the slope.
-			taken := 0
-			seen := int64(0)
-			s.Every(time.Second, time.Second, func() bool {
-				if n := nn.HoldTimes().Count(); n > seen && taken < 10 {
-					record(float64(nn.LastChunkFiles()), nn.HoldTimes().Last().Seconds())
-					seen = n
-					taken++
-				}
-				return taken < 10
-			})
-			// Back-to-back du requests supply enough lock holds.
-			var loop func(time.Duration)
-			loop = func(time.Duration) { nn.Du(loop) }
-			s.At(0, func() { nn.Du(loop) })
-			s.RunUntil(10 * time.Minute)
+	return profileSweep("HD4995", []float64{5_000, 15_000, 30_000, 60_000}, func(setting float64, record func(setting, measurement float64)) {
+		s := newScenarioSim()
+		nn := dfs.New(s, hd4995Config(), int(setting))
+		// Single writer client at 2 writes/s (the profiling workload).
+		s.Every(0, 500*time.Millisecond, func() bool {
+			nn.Write()
+			return s.Now() < 10*time.Minute
 		})
+		// Samples pair the deputy (files actually traversed in the hold)
+		// with the measured hold time; partial final chunks are thereby
+		// attributed to their true size instead of biasing the slope.
+		isNew := fresh(nn.HoldTimes().Count)
+		sampleTen(s, time.Second, time.Second, record, func() (float64, float64, bool) {
+			return float64(nn.LastChunkFiles()), nn.HoldTimes().Last().Seconds(), isNew()
+		})
+		// Back-to-back du requests supply enough lock holds.
+		var loop func(time.Duration)
+		loop = func(time.Duration) { nn.Du(loop) }
+		s.At(0, func() { nn.Du(loop) })
+		s.RunUntil(10 * time.Minute)
 	})
 }
 
-// hd4995Sensor builds the per-chunk hook: read the last completed lock
-// hold, feed the controller in deputy space (files actually traversed),
-// apply the new limit. On the first chunk of the first du no hold has
-// completed (Count() == 0), so the hook keeps the Initial limit rather
-// than feeding a phantom 0 s hold paired with a stale deputy reading.
-func hd4995Sensor(nn *dfs.NameNode, ic *smartconf.IndirectConf) func() {
-	return func() {
-		if nn.HoldTimes().Count() == 0 {
-			return
-		}
-		hold := nn.HoldTimes().Last().Seconds()        //sc:HD4995:sensor
-		ic.SetPerf(hold, float64(nn.LastChunkFiles())) //sc:HD4995:invoke
-		nn.SetLimit(ic.Conf())                         //sc:HD4995:invoke
+// hd4995Spec is the chunk-limit controller every HD4995 harness
+// synthesizes: a uselessly small starting value SmartConf recovers from.
+func hd4995Spec() smartconf.Spec {
+	return smartconf.Spec{
+		Name:    "content-summary.limit",
+		Metric:  "writer_block_time",
+		Goal:    hd4995Goal1,
+		Hard:    false, // soft latency constraint
+		Initial: 1,
+		Min:     1, Max: 1e7,
 	}
+}
+
+// dfsRig is the HD4995 namenode substrate wired once for the figure and
+// chaos harnesses.
+type dfsRig struct {
+	s     *sim.Simulation
+	rng   *rand.Rand // writer jitter
+	nn    *dfs.NameNode
+	until time.Duration
+}
+
+func newDFSRig(seed int64, until time.Duration) *dfsRig {
+	s := newScenarioSim()
+	return &dfsRig{s: s, rng: rand.New(rand.NewSource(seed)), nn: dfs.New(s, hd4995Config(), 1), until: until}
+}
+
+// sense reads the last completed lock hold and its deputy, the files
+// actually traversed in that hold.
+func (r *dfsRig) sense() (perf, deputy float64) {
+	return r.nn.HoldTimes().Last().Seconds(), float64(r.nn.LastChunkFiles()) //sc:HD4995:sensor
+}
+
+func (r *dfsRig) actuate(v float64) { r.nn.SetLimit(int(v)) } //sc:HD4995:invoke
+
+// attach runs tick per lock acquisition during a du. On the first chunk of
+// the first du no hold has completed (Count() == 0), so tick waits rather
+// than feeding a phantom 0 s hold paired with a stale deputy reading.
+func (r *dfsRig) attach(tick func()) {
+	r.nn.BeforeChunk = func() {
+		if r.nn.HoldTimes().Count() > 0 {
+			tick()
+		}
+	}
+}
+
+// load starts the multi-client writer load (20 writes/s with jitter, surge
+// times over) and a du every duEvery (the content-summary consumer).
+func (r *dfsRig) load(duEvery time.Duration, env *chaos.Env) {
+	r.s.Every(0, 50*time.Millisecond, func() bool {
+		if r.rng.Float64() < 0.95 {
+			for i := 0; i < int(env.SurgeFactor()+0.5); i++ {
+				r.nn.Write()
+			}
+		}
+		return r.s.Now() < r.until
+	})
+	r.s.Every(10*time.Second, duEvery, func() bool {
+		r.nn.Du(nil)
+		return r.s.Now() < r.until
+	})
+}
+
+// probe samples each new lock hold and the limit.
+func (r *dfsRig) probe() *probe {
+	p := &probe{}
+	p.trackNew("lock_hold", "s", fresh(r.nn.HoldTimes().Count), func() float64 { return r.nn.HoldTimes().Last().Seconds() })
+	p.track("content-summary.limit", "files", func() float64 { return float64(r.nn.Limit()) })
+	p.start(r.s, func() bool { return r.s.Now() < r.until })
+	return p
 }
 
 // RunHD4995 executes the two-phase evaluation under the given policy.
 func RunHD4995(p Policy) Result {
-	s := newScenarioSim()
-	rng := rand.New(rand.NewSource(4995))
-	nn := dfs.New(s, hd4995Config(), 1)
+	r := newDFSRig(4995, hd4995RunTime)
 
-	var setGoal func(float64)
+	setGoal := func(float64) {} // static policies have no goal to move
 	switch p.Kind {
 	case StaticPolicy:
-		nn.SetLimit(int(p.Static))
+		r.nn.SetLimit(int(p.Static))
 	case SmartConfPolicy:
-		profile := ProfileHD4995()
-		ic, err := smartconf.NewIndirect(smartconf.Spec{
-			Name:    "content-summary.limit",
-			Metric:  "writer_block_time",
-			Goal:    hd4995Goal1,
-			Hard:    false, // soft latency constraint
-			Initial: 1,     // a uselessly small starting value; SmartConf recovers
-			Min:     1, Max: 1e7,
-		}, publicProfile(profile), nil)
-		if err != nil {
-			panic(fmt.Sprintf("HD4995 synthesis: %v", err))
-		}
 		// Conditional + indirect: invoked per lock acquisition during a du;
 		// the deputy is the actual files-per-hold of the last chunk.
-		nn.BeforeChunk = hd4995Sensor(nn, ic)
-		setGoal = ic.SetGoal
+		ic := mustIndirect(hd4995Spec(), ProfileHD4995(), nil)
+		control(r, roundedStep(ic))
+		setGoal = ic.SetGoal //sc:HD4995:invoke
 	case SinglePolePolicy, NoVirtualGoalPolicy:
 		return runCached(HD4995Scenario(), SmartConf()) // ablations target hard memory goals
 	}
 
-	holdS := Series{Name: "lock_hold", Unit: "s"}
-	knobS := Series{Name: "content-summary.limit", Unit: "files"}
-	seen := int64(0)
-	s.Every(time.Second, time.Second, func() bool {
-		if n := nn.HoldTimes().Count(); n > seen {
-			holdS.Points = append(holdS.Points, Point{s.Now(), nn.HoldTimes().Last().Seconds()})
-			seen = n
-		}
-		knobS.Points = append(knobS.Points, Point{s.Now(), float64(nn.Limit())})
-		return s.Now() < hd4995RunTime
-	})
+	probe := r.probe()
+	r.s.At(hd4995PhaseShift, func() { setGoal(hd4995Goal2) })
+	r.load(hd4995DuEvery, nil)
+	r.s.RunUntil(hd4995RunTime)
 
-	s.At(hd4995PhaseShift, func() {
-		if setGoal != nil {
-			setGoal(hd4995Goal2)
-		}
-	})
-
-	// Multi-client writer load: 20 writes/s with jitter.
-	s.Every(0, 50*time.Millisecond, func() bool {
-		if rng.Float64() < 0.95 {
-			nn.Write()
-		}
-		return s.Now() < hd4995RunTime
-	})
-	// Periodic du requests (the content-summary consumer).
-	s.Every(10*time.Second, hd4995DuEvery, func() bool {
-		nn.Du(nil)
-		return s.Now() < hd4995RunTime
-	})
-	s.RunUntil(hd4995RunTime)
-
-	res := Result{
-		Issue:          "HD4995",
-		Policy:         p,
-		TradeoffName:   "mean du latency (s)",
-		HigherIsBetter: false,
-		Tradeoff:       nn.DuLatency().OverallMean().Seconds(),
-		Series:         []Series{holdS, knobS},
-	}
-	goalAt := func(t time.Duration) float64 {
-		switch {
-		case t < hd4995Grace:
+	res := HD4995Scenario().result(p, r.nn.DuLatency().OverallMean().Seconds(), probe)
+	goalAt := goalChange(hd4995Goal1, hd4995Goal2, hd4995PhaseShift+hd4995Grace)
+	judgeSoft(&res, probe.metric(), func(t time.Duration) float64 {
+		if t < hd4995Grace {
 			// Initial convergence window: every policy gets the same slack
 			// while a controller climbs from its deliberately poor initial
 			// value (statics are unaffected unless they only violate here).
 			return 1e12
-		case t < hd4995PhaseShift+hd4995Grace:
-			return hd4995Goal1
-		default:
-			return hd4995Goal2
 		}
-	}
-	met, at, worst := evalUpperBound(holdS, func(t time.Duration) float64 { return goalAt(t) * 1.05 })
-	if !met {
-		res.ConstraintMet = false
-		res.ViolatedAt = at
-		res.Violation = fmt.Sprintf("lock hold %.1fs > goal %.1fs", worst, goalAt(at))
-	} else {
-		res.ConstraintMet = true
-	}
-	if nn.DusDone() == 0 {
+		return goalAt(t)
+	}, "lock hold")
+	if r.nn.DusDone() == 0 {
 		res.ConstraintMet = false
 		res.Violation = "no du completed"
 	}

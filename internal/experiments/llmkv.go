@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"time"
 
 	"smartconf"
+	"smartconf/internal/chaos"
 	"smartconf/internal/core"
 	"smartconf/internal/llmserve"
 	"smartconf/internal/memsim"
@@ -78,9 +80,70 @@ func llmPhases() []workload.LLMPhase {
 	}
 }
 
-// llmDrive starts Poisson arrivals (with the phase switcher) and the burst
-// loop against the server.
-func llmDrive(s *sim.Simulation, sv *llmserve.Server, phases []workload.LLMPhase, seed int64, until time.Duration) {
+// llmkvConf synthesizes the token-bound controller every LLMKV harness
+// uses, in deputy space (prompt-resident KV bytes): it starts closed and
+// opens the batch to fit, and the transducer converts the desired deputy
+// bytes into the token bound.
+func llmkvConf(opts ...smartconf.Option) *smartconf.IndirectConf {
+	return mustIndirect(smartconf.Spec{
+		Name:    "max.num.batched.tokens",
+		Metric:  "gpu_memory_consumption",
+		Goal:    float64(llmMemoryGoal),
+		Hard:    true,
+		Initial: 0,
+		Min:     0, Max: float64(llmHeapCapacity),
+	}, ProfileLLMKV(), smartconf.Scale(1/float64(llmKVPerToken())), opts...)
+}
+
+// llmRig is the LLM serving substrate wired once for the profiling, figure
+// and chaos harnesses.
+type llmRig struct {
+	s     *sim.Simulation
+	rng   *rand.Rand // heap noise
+	heap  *memsim.Heap
+	sv    *llmserve.Server
+	kvb   float64 // KV bytes per token
+	until time.Duration
+	oomAt time.Duration
+}
+
+func newLLMRig(seed, heapBytes int64, until time.Duration) *llmRig {
+	s := newScenarioSim()
+	r := &llmRig{s: s, rng: rand.New(rand.NewSource(seed)), heap: memsim.NewHeap(heapBytes),
+		kvb: float64(llmKVPerToken()), until: until}
+	r.sv = llmserve.New(s, r.heap, llmConfig())
+	r.heap.OnOOM(func() { r.oomAt = s.Now() })
+	return r
+}
+
+// sense reads the GPU heap and the deputy, prompt-resident KV bytes (the
+// quantity the bound caps). The §5.3 update starts from the deputy's
+// CURRENT value, so unit drift between the knob and the realized footprint
+// self-corrects.
+func (r *llmRig) sense() (perf, deputy float64) {
+	return float64(r.heap.Used()), float64(r.sv.PromptTokens()) * r.kvb //sc:LLMKV:sensor
+}
+
+func (r *llmRig) actuate(v float64) { r.sv.SetMaxBatchedTokens(int(v)) } //sc:LLMKV:invoke
+
+// attach runs tick every 15 s. The cadence is deliberately slow: an
+// admitted prompt drags its decode KV in over the next several seconds, and
+// updating faster than that plant delay would integrate against memory
+// that is already committed but not yet visible.
+func (r *llmRig) attach(tick func()) {
+	r.s.Every(0, 15*time.Second, func() bool {
+		tick()
+		return r.s.Now() < r.until && !r.sv.Crashed()
+	})
+}
+
+func (r *llmRig) noise() { heapNoise(r.s, r.heap, r.rng, llmNoiseMax, r.until) }
+
+// load starts Poisson arrivals (with the phase switcher) and the burst loop
+// against the server; env's surge factor scales each burst. phases is
+// re-read at every arrival, so a PlantShift may swap its entries mid-run.
+func (r *llmRig) load(phases []workload.LLMPhase, seed int64, env *chaos.Env) {
+	s, sv, until := r.s, r.sv, r.until
 	gen := workload.NewLLMGen(seed, phases[0])
 	var arrive func()
 	arrive = func() {
@@ -102,7 +165,8 @@ func llmDrive(s *sim.Simulation, sv *llmserve.Server, phases []workload.LLMPhase
 		if ph.Name != gen.Phase().Name {
 			gen.SetPhase(ph)
 		}
-		for i := 0; i < ph.BurstSize; i++ {
+		n := int(float64(ph.BurstSize) * env.SurgeFactor())
+		for i := 0; i < n; i++ {
 			req := gen.NextRequest()
 			s.After(time.Duration(i)*ph.BurstSpacing, func() { sv.Offer(req) })
 		}
@@ -119,31 +183,20 @@ func llmDrive(s *sim.Simulation, sv *llmserve.Server, phases []workload.LLMPhase
 // size in uncounted decode KV behind it, and the controller's model must
 // know that or its corrections overshoot the real heap response.
 func ProfileLLMKV() core.Profile {
-	return memoProfile("LLMKV", func() core.Profile {
-		kvb := float64(llmKVPerToken())
-		return profileSweep([]float64{16384, 32768, 49152, 65536}, func(setting float64, record func(setting, measurement float64)) {
-			s := newScenarioSim()
-			rng := rand.New(rand.NewSource(7001))
-			heap := memsim.NewHeap(llmProfileHeap)
-			sv := llmserve.New(s, heap, llmConfig())
-			sv.SetMaxBatchedTokens(int(setting))
-			heapNoise(s, heap, rng, llmNoiseMax, llmProfileTime)
+	return profileSweep("LLMKV", []float64{16384, 32768, 49152, 65536}, func(setting float64, record func(setting, measurement float64)) {
+		r := newLLMRig(7001, llmProfileHeap, llmProfileTime)
+		r.sv.SetMaxBatchedTokens(int(setting))
+		r.noise()
 
-			taken := 0
-			s.Every(25*time.Second, 4*time.Second, func() bool {
-				if taken < 10 {
-					record(setting*kvb, float64(heap.Used()))
-					taken++
-				}
-				return taken < 10
-			})
-			llmDrive(s, sv, []workload.LLMPhase{
-				// Saturating: offered load exceeds service capacity at every
-				// pinned setting, so the admitted prompts actually fill the bound.
-				{Name: "profiling", RequestsPerSec: 80, PromptMean: 150, OutputMean: 300},
-			}, 7002, llmProfileTime)
-			s.RunUntil(llmProfileTime)
+		sampleTen(r.s, 25*time.Second, 4*time.Second, record, func() (float64, float64, bool) {
+			return setting * r.kvb, float64(r.heap.Used()), true
 		})
+		r.load([]workload.LLMPhase{
+			// Saturating: offered load exceeds service capacity at every
+			// pinned setting, so the admitted prompts actually fill the bound.
+			{Name: "profiling", RequestsPerSec: 80, PromptMean: 150, OutputMean: 300},
+		}, 7002, nil)
+		r.s.RunUntil(llmProfileTime)
 	})
 }
 
@@ -151,65 +204,29 @@ func ProfileLLMKV() core.Profile {
 // at four settings, under a sustained document overload (the regime where
 // the waiting queue, and therefore TTFT, actually builds).
 func ProfileLLMKVTTFT() core.Profile {
-	return memoProfile("LLMKV-TTFT", func() core.Profile {
-		return profileSweep([]float64{64, 128, 256, 384}, func(setting float64, record func(setting, measurement float64)) {
-			s := newScenarioSim()
-			rng := rand.New(rand.NewSource(7003))
-			heap := memsim.NewHeap(llmHeapCapacity)
-			sv := llmserve.New(s, heap, llmConfig())
-			// A modest pinned batch bound keeps service slow so the waiting
-			// queue — not the batch — is the binding resource.
-			sv.SetMaxBatchedTokens(16384)
-			sv.SetWaitingLimit(int(setting))
-			heapNoise(s, heap, rng, llmNoiseMax, llmTTFTProfileTime)
+	return profileSweep("LLMKV-TTFT", []float64{64, 128, 256, 384}, func(setting float64, record func(setting, measurement float64)) {
+		r := newLLMRig(7003, llmHeapCapacity, llmTTFTProfileTime)
+		// A modest pinned batch bound keeps service slow so the waiting
+		// queue — not the batch — is the binding resource.
+		r.sv.SetMaxBatchedTokens(16384)
+		r.sv.SetWaitingLimit(int(setting))
+		r.noise()
 
-			taken := 0
-			s.Every(40*time.Second, 6*time.Second, func() bool {
-				if taken < 10 {
-					record(setting, sv.TTFT().Percentile(95).Seconds())
-					taken++
-				}
-				return taken < 10
-			})
-			llmDrive(s, sv, []workload.LLMPhase{
-				{Name: "profiling", RequestsPerSec: 30, PromptMean: 1500, OutputMean: 200},
-			}, 7004, llmTTFTProfileTime)
-			s.RunUntil(llmTTFTProfileTime)
+		sampleTen(r.s, 40*time.Second, 6*time.Second, record, func() (float64, float64, bool) {
+			return setting, r.sv.TTFT().Percentile(95).Seconds(), true
 		})
+		r.load([]workload.LLMPhase{
+			{Name: "profiling", RequestsPerSec: 30, PromptMean: 1500, OutputMean: 200},
+		}, 7004, nil)
+		r.s.RunUntil(llmTTFTProfileTime)
 	})
 }
 
-// llmProbe samples the scenario's time series once per second.
-type llmProbe struct {
-	mem       Series
-	knob      Series
-	goodput   Series
-	ttftP95   Series
-	completed Series
-}
-
-func startLLMProbe(s *sim.Simulation, heap *memsim.Heap, sv *llmserve.Server, until time.Duration) *llmProbe {
-	p := &llmProbe{
-		mem:       Series{Name: "used_memory", Unit: "bytes"},
-		knob:      Series{Name: "max.batched.tokens", Unit: "tokens"},
-		goodput:   Series{Name: "goodput", Unit: "tok/s"},
-		ttftP95:   Series{Name: "ttft_p95", Unit: "s"},
-		completed: Series{Name: "completed_requests", Unit: "requests"},
-	}
-	s.Every(time.Second, time.Second, func() bool {
-		now := s.Now()
-		knob := float64(sv.MaxBatchedTokens())
-		if knob > 1e9 {
-			knob = 1e9 // the unbounded default, kept plottable
-		}
-		snap := sv.TTFT().Snapshot()
-		p.mem.Points = append(p.mem.Points, Point{now, float64(heap.Used())})
-		p.knob.Points = append(p.knob.Points, Point{now, knob})
-		p.goodput.Points = append(p.goodput.Points, Point{now, sv.Goodput()})
-		p.ttftP95.Points = append(p.ttftP95.Points, Point{now, snap.P95.Seconds()})
-		p.completed.Points = append(p.completed.Points, Point{now, float64(sv.Completed())})
-		return now < until && !heap.OOM()
-	})
+func (r *llmRig) probe() *probe {
+	p := &probe{}
+	p.track("used_memory", "bytes", func() float64 { return float64(r.heap.Used()) })
+	p.track("max.batched.tokens", "tokens", func() float64 { return float64(r.sv.MaxBatchedTokens()) })
+	p.start(r.s, func() bool { return r.s.Now() < r.until && !r.heap.OOM() })
 	return p
 }
 
@@ -217,90 +234,53 @@ func startLLMProbe(s *sim.Simulation, heap *memsim.Heap, sv *llmserve.Server, un
 // Static policies pin max.num.batched.tokens and keep the default
 // admission.queue.limit; SmartConf controls both knobs.
 func RunLLMKV(p Policy) Result {
-	s := newScenarioSim()
-	rng := rand.New(rand.NewSource(9001))
-	heap := memsim.NewHeap(llmHeapCapacity)
-	sv := llmserve.New(s, heap, llmConfig())
+	r := newLLMRig(9001, llmHeapCapacity, llmRunTime)
 
 	switch p.Kind {
 	case StaticPolicy:
-		sv.SetMaxBatchedTokens(int(p.Static))
+		r.sv.SetMaxBatchedTokens(int(p.Static))
 	case SmartConfPolicy:
-		kvb := float64(llmKVPerToken())
-		ic, err := smartconf.NewIndirect(smartconf.Spec{
-			Name:    "max.num.batched.tokens",
-			Metric:  "gpu_memory_consumption",
-			Goal:    float64(llmMemoryGoal),
-			Hard:    true,
-			Initial: 0, // start closed; the controller opens the batch to fit
-			Min:     0, Max: float64(llmHeapCapacity),
-		}, publicProfile(ProfileLLMKV()), smartconf.Scale(1/kvb))
-		if err != nil {
-			panic(fmt.Sprintf("LLMKV synthesis: %v", err))
-		}
-		// Integration shim, Table 7-countable: sense the heap, read the
-		// deputy (prompt-resident KV bytes — the quantity the bound caps),
-		// and move the token bound. The §5.3 update starts from the deputy's
-		// CURRENT value, so unit drift between the knob and the realized
-		// footprint self-corrects. The cadence is deliberately slow: an
-		// admitted prompt drags its decode KV in over the next several
-		// seconds, and updating faster than that plant delay would integrate
-		// against memory that is already committed but not yet visible.
-		s.Every(0, 15*time.Second, func() bool {
-			ic.SetPerf(float64(heap.Used()), float64(sv.PromptTokens())*kvb) //sc:LLMKV:sensor
-			sv.SetMaxBatchedTokens(ic.Conf())                                //sc:LLMKV:invoke
-			return s.Now() < llmRunTime && !sv.Crashed()
-		})
+		control(r, roundedStep(llmkvConf()))
 
-		qc, err := smartconf.New(smartconf.Spec{
+		qc := mustConf(smartconf.Spec{
 			Name:    "admission.queue.limit",
 			Metric:  "ttft_p95",
 			Goal:    llmTTFTGoalSec,
 			Hard:    false, // latency SLO: soft
 			Initial: float64(llmConfig().WaitingLimit),
 			Min:     16, Max: 2048,
-		}, publicProfile(ProfileLLMKVTTFT()))
-		if err != nil {
-			panic(fmt.Sprintf("LLMKV ttft synthesis: %v", err))
-		}
+		}, ProfileLLMKVTTFT())
 		// A p95 estimate needs a window of first tokens and lags the knob, so
 		// this loop runs on the sensor's timescale (cf. the SLA extension).
-		s.Every(10*time.Second, 10*time.Second, func() bool {
-			qc.SetPerf(sv.TTFT().Percentile(95).Seconds()) //sc:LLMKV:sensor
-			sv.SetWaitingLimit(qc.Conf())                  //sc:LLMKV:invoke
-			return s.Now() < llmRunTime && !sv.Crashed()
+		r.s.Every(10*time.Second, 10*time.Second, func() bool {
+			qc.SetPerf(r.sv.TTFT().Percentile(95).Seconds()) //sc:LLMKV:sensor
+			r.sv.SetWaitingLimit(qc.Conf())                  //sc:LLMKV:invoke
+			return r.s.Now() < llmRunTime && !r.sv.Crashed()
 		})
 	default:
 		panic(fmt.Sprintf("LLMKV: unsupported policy %v", p))
 	}
 
-	heapNoise(s, heap, rng, llmNoiseMax, llmRunTime)
-	probe := startLLMProbe(s, heap, sv, llmRunTime)
-
-	var oomAt time.Duration
-	heap.OnOOM(func() { oomAt = s.Now() })
-	llmDrive(s, sv, llmPhases(), 9002, llmRunTime)
-	s.RunUntil(llmRunTime)
-
-	res := Result{
-		Issue:          "LLMKV",
-		Policy:         p,
-		Tradeoff:       float64(sv.OutputTokens()) / llmRunTime.Seconds(),
-		TradeoffName:   "goodput (output tok/s)",
-		HigherIsBetter: true,
-		Series:         []Series{probe.mem, probe.knob, probe.goodput, probe.ttftP95, probe.completed},
+	r.noise()
+	probe := r.probe()
+	probe.track("goodput", "tok/s", r.sv.Goodput)
+	probe.track("ttft_p95", "s", func() float64 { return r.sv.TTFT().Snapshot().P95.Seconds() })
+	probe.track("completed_requests", "requests", func() float64 { return float64(r.sv.Completed()) })
+	r.load(llmPhases(), 9002, nil)
+	r.s.RunUntil(llmRunTime)
+	for i, pt := range probe.series[1].Points {
+		probe.series[1].Points[i].V = math.Min(pt.V, 1e9) // the unbounded default, kept plottable
 	}
+
 	// The hard constraint is survival: a KV or activation allocation that
 	// does not fit kills the server (the production incident). The 15GiB
 	// goal below the 16GiB device is the operator's engineered margin — the
 	// controller aims at the goal so that transients land in the margin
 	// instead of in an OOM.
-	if heap.OOM() {
-		res.ConstraintMet = false
-		res.ViolatedAt = oomAt
-		res.Violation = "OOM"
-	} else {
-		res.ConstraintMet = true
+	res := LLMKVScenario().result(p, float64(r.sv.OutputTokens())/llmRunTime.Seconds(), probe)
+	res.ConstraintMet = !r.heap.OOM()
+	if !res.ConstraintMet {
+		res.ViolatedAt, res.Violation = r.oomAt, "OOM"
 	}
 	return res
 }
@@ -347,20 +327,12 @@ func RenderFigureLLMKV(row Figure5Row) string {
 	fmt.Fprintf(&b, "%-22s %14s %9s %12s %10s %5s\n",
 		"Policy", "Setting", "Speedup", "tok/s", "TTFT p95", "OK?")
 	for _, bar := range row.Bars {
-		mark := "ok"
-		if !bar.ConstraintMet {
-			mark = "X"
-		}
-		setting := "-"
-		if bar.Label != "SmartConf" {
-			setting = humanSetting(bar.Setting)
-		}
 		ttft := "-"
 		if s, ok := bar.Result.SeriesByName("ttft_p95"); ok && len(s.Points) > 0 {
 			ttft = fmt.Sprintf("%.1fs", s.Points[len(s.Points)-1].V)
 		}
 		fmt.Fprintf(&b, "%-22s %14s %8.2fx %12.0f %10s %5s\n",
-			bar.Label, setting, bar.Speedup, bar.Result.Tradeoff, ttft, mark)
+			bar.Label, bar.settingLabel(), bar.Speedup, bar.Result.Tradeoff, ttft, okMark(bar.ConstraintMet))
 	}
 	fmt.Fprintln(&b)
 	smart := row.Bars[0].Result

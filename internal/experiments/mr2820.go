@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"smartconf"
+	"smartconf/internal/chaos"
 	"smartconf/internal/core"
 	"smartconf/internal/experiments/engine"
 	"smartconf/internal/mapred"
@@ -46,29 +47,110 @@ func mr2820Jobs() []workload.WordCountJob {
 	return []workload.WordCountJob{p1, p1, p1, p2, p2, p2}
 }
 
-// mr2820CoTenant drives the disturbance: every 5 s each worker's co-tenant
-// footprint random-walks within [low, high].
-func mr2820CoTenant(s *sim.Simulation, c *mapred.Cluster, rng *rand.Rand, low, high, maxStep int64, until time.Duration) {
-	current := make([]int64, len(c.Workers()))
-	for i, w := range c.Workers() {
+// mr2820Spec is the minspacestart controller every MR2820 harness
+// synthesizes, from a uselessly conservative start.
+func mr2820Spec() smartconf.Spec {
+	return smartconf.Spec{
+		Name:    "local.dir.minspacestart",
+		Metric:  "disk_consumption",
+		Goal:    float64(mr2820DiskGoal),
+		Hard:    true,
+		Initial: 512 * float64(mb),
+		Min:     0, Max: 1 << 30,
+	}
+}
+
+// mapredRig is the MR2820 MapReduce substrate wired once for the
+// profiling, figure and chaos harnesses.
+type mapredRig struct {
+	s   *sim.Simulation
+	rng *rand.Rand // co-tenant walk
+	c   *mapred.Cluster
+	// w and next are the admission decision the scheduler hook is about to
+	// make: the candidate worker and the task's disk footprint.
+	w    *mapred.Worker
+	next int64
+}
+
+func newMapredRig(seed, minSpace int64) *mapredRig {
+	s := newScenarioSim()
+	return &mapredRig{s: s, rng: rand.New(rand.NewSource(seed)), c: mapred.New(s, mr2820Config(), minSpace)}
+}
+
+// sense anticipates: it reports the occupancy the candidate admission
+// WOULD create (the Master knows the task's footprint), so the
+// controller's bound already covers the task about to start.
+func (r *mapredRig) sense() (perf, deputy float64) {
+	return float64(r.w.Disk.Used() + r.w.Committed() + r.next), 0 //sc:MR2820:sensor
+}
+
+// actuate is the Master shipping the setting to the worker (§6.5's Others
+// row).
+func (r *mapredRig) actuate(v float64) { r.c.SetMinSpaceStart(int64(v)) } //sc:MR2820:other
+
+// attach runs tick at each admission decision (conditional configuration).
+func (r *mapredRig) attach(tick func()) {
+	r.c.BeforeSchedule = func(w *mapred.Worker, next int64) {
+		r.w, r.next = w, next
+		tick()
+	}
+}
+
+// coTenant drives the disturbance: every 5 s each worker's co-tenant
+// footprint random-walks within [low, high], lifted by 100 MB × (surge−1).
+// freezeOnOOD stops the walk at the first out-of-disk write.
+func (r *mapredRig) coTenant(low, high, maxStep int64, until time.Duration, env *chaos.Env, freezeOnOOD bool) {
+	current := make([]int64, len(r.c.Workers()))
+	for i, w := range r.c.Workers() {
 		current[i] = (low + high) / 2
 		w.SetCoTenant(current[i])
 	}
-	s.Every(5*time.Second, 5*time.Second, func() bool {
-		for i, w := range c.Workers() {
-			step := int64(rng.Intn(int(2*maxStep+1))) - maxStep
+	r.s.Every(5*time.Second, 5*time.Second, func() bool {
+		bump := int64((env.SurgeFactor() - 1) * float64(100*mb))
+		for i, w := range r.c.Workers() {
+			step := int64(r.rng.Intn(int(2*maxStep+1))) - maxStep
 			next := current[i] + step
-			if next < low {
-				next = low
+			if next < low+bump {
+				next = low + bump
 			}
-			if next > high {
-				next = high
+			if next > high+bump {
+				next = high + bump
 			}
 			current[i] = next
 			w.SetCoTenant(next)
 		}
-		return s.Now() < until
+		return r.s.Now() < until && !(freezeOnOOD && r.c.OOD())
 	})
+}
+
+// probe samples the fullest disk and the knob while jobs run.
+func (r *mapredRig) probe() *probe {
+	p := &probe{}
+	p.track("max_disk_used", "bytes", func() float64 { return float64(r.c.MaxDiskUsed()) })
+	p.track("minspacestart", "bytes", func() float64 { return float64(r.c.MinSpaceStart()) })
+	p.start(r.s, func() bool { return r.c.Busy() || r.s.Now() < 10*time.Second })
+	return p
+}
+
+// runJobs runs the evaluation's job sequence back to back from t = 1 s and
+// stops the simulation when the last job ends; the returned slice collects
+// each finished job's result.
+func (r *mapredRig) runJobs() *[]mapred.JobResult {
+	jobs := mr2820Jobs()
+	results := new([]mapred.JobResult)
+	var runNext func(i int)
+	runNext = func(i int) {
+		if i >= len(jobs) {
+			r.s.Stop()
+			return
+		}
+		r.c.RunJob(jobs[i], func(res mapred.JobResult) {
+			*results = append(*results, res)
+			runNext(i + 1)
+		})
+	}
+	r.s.At(time.Second, func() { runNext(0) })
+	return results
 }
 
 // ProfileMR2820 profiles peak disk consumption against the pinned
@@ -76,38 +158,29 @@ func mr2820CoTenant(s *sim.Simulation, c *mapred.Cluster, rng *rand.Rand, low, h
 // with the co-tenant walking. The campaign runs once process-wide and its
 // four pinned-setting runs fan out across the worker pool.
 func ProfileMR2820() core.Profile {
-	return memoProfile("MR2820", func() core.Profile {
-		job := workload.WordCountJob{Name: "profiling", InputBytes: 2 << 30, SplitBytes: 64 * mb, Parallelism: 1, SpillRatio: 1.25}
-		settings := []float64{50 * float64(mb), 150 * float64(mb), 250 * float64(mb), 350 * float64(mb)}
-		return profileSweep(settings, func(setting float64, record func(setting, measurement float64)) {
-			s := newScenarioSim()
-			rng := rand.New(rand.NewSource(2820))
-			c := mapred.New(s, mr2820Config(), int64(setting))
-			// The profiling run stresses the disks (a heavier co-tenant than the
-			// evaluation) so the knob↔occupancy relation is identifiable — the
-			// paper's advice that wider profiling workloads make the controller
-			// more robust.
-			mr2820CoTenant(s, c, rng, 550*mb, 950*mb, 120*mb, time.Hour)
-			// Time-driven sampling: the scheduler hook only fires when a slot is
-			// idle, which would systematically miss the occupancy of running
-			// tasks and flatten the model.
-			taken := 0
-			s.Every(10*time.Second, 5*time.Second, func() bool {
-				if taken < 10 {
-					var max int64
-					for _, w := range c.Workers() {
-						if v := w.Disk.Used() + w.Committed(); v > max {
-							max = v
-						}
-					}
-					record(setting, float64(max))
-					taken++
+	job := workload.WordCountJob{Name: "profiling", InputBytes: 2 << 30, SplitBytes: 64 * mb, Parallelism: 1, SpillRatio: 1.25}
+	settings := []float64{50 * float64(mb), 150 * float64(mb), 250 * float64(mb), 350 * float64(mb)}
+	return profileSweep("MR2820", settings, func(setting float64, record func(setting, measurement float64)) {
+		r := newMapredRig(2820, int64(setting))
+		// The profiling run stresses the disks (a heavier co-tenant than the
+		// evaluation) so the knob↔occupancy relation is identifiable — the
+		// paper's advice that wider profiling workloads make the controller
+		// more robust.
+		r.coTenant(550*mb, 950*mb, 120*mb, time.Hour, nil, false)
+		// Time-driven sampling: the scheduler hook only fires when a slot is
+		// idle, which would systematically miss the occupancy of running
+		// tasks and flatten the model.
+		sampleTen(r.s, 10*time.Second, 5*time.Second, record, func() (float64, float64, bool) {
+			var max int64
+			for _, w := range r.c.Workers() {
+				if v := w.Disk.Used() + w.Committed(); v > max {
+					max = v
 				}
-				return taken < 10
-			})
-			s.At(time.Second, func() { c.RunJob(job, func(mapred.JobResult) { s.Stop() }) })
-			s.RunUntil(time.Hour)
+			}
+			return setting, float64(max), true
 		})
+		r.s.At(time.Second, func() { r.c.RunJob(job, func(mapred.JobResult) { r.s.Stop() }) })
+		r.s.RunUntil(time.Hour)
 	})
 }
 
@@ -120,121 +193,54 @@ func ProfileMR2820() core.Profile {
 // trade-off is the mean makespan (the paper's testbed runs average the same
 // kind of environmental variance).
 func RunMR2820(p Policy) Result {
-	agg := Result{Issue: "MR2820", Policy: p, ConstraintMet: true}
-	var total float64
-	const seeds = 5
-	results := engine.Map(seeds, func(i int) Result {
+	results := engine.Map(5, func(i int) Result {
 		seed := 2821 + int64(i)
-		return memoResult("MR2820", policyKey(p), "seed-race", seed,
+		return memoKeyed("MR2820", policyKey(p), "seed-race", seed,
 			func() Result { return runMR2820Seed(p, seed) })
 	})
-	for seed, r := range results {
+	agg := results[0] // the first seed's series and labels stand for the run
+	var total float64
+	for _, r := range results {
 		total += r.Tradeoff
 		if !r.ConstraintMet && agg.ConstraintMet {
 			agg.ConstraintMet = false
 			agg.Violation = r.Violation
 			agg.ViolatedAt = r.ViolatedAt
 		}
-		if seed == 0 {
-			agg.Series = r.Series
-			agg.TradeoffName = r.TradeoffName
-			agg.HigherIsBetter = r.HigherIsBetter
-		}
 	}
-	agg.Tradeoff = total / seeds
+	agg.Tradeoff = total / float64(len(results))
 	return agg
 }
 
 func runMR2820Seed(p Policy, seed int64) Result {
-	s := newScenarioSim()
-	rng := rand.New(rand.NewSource(seed))
-	c := mapred.New(s, mr2820Config(), 0)
+	r := newMapredRig(seed, 0)
 
 	switch p.Kind {
 	case StaticPolicy:
-		c.SetMinSpaceStart(int64(p.Static))
+		r.c.SetMinSpaceStart(int64(p.Static))
 	case SmartConfPolicy:
-		profile := ProfileMR2820()
-		sc, err := smartconf.New(smartconf.Spec{
-			Name:    "local.dir.minspacestart",
-			Metric:  "disk_consumption",
-			Goal:    float64(mr2820DiskGoal),
-			Hard:    true,
-			Initial: 512 * float64(mb), // a uselessly conservative start
-			Min:     0, Max: 1 << 30,
-		}, publicProfile(profile))
-		if err != nil {
-			panic(fmt.Sprintf("MR2820 synthesis: %v", err))
-		}
-		// Conditional: consulted at each admission decision. The Master
-		// computes the setting and "ships" it to the worker (§6.5's Others
-		// row) — here the shipping is the SetMinSpaceStart call.
-		// The sensor anticipates: it reports the occupancy the candidate
-		// admission WOULD create (the Master knows the task's footprint), so
-		// the controller's bound already covers the task about to start.
-		c.BeforeSchedule = func(w *mapred.Worker, next int64) {
-			sc.SetPerf(float64(w.Disk.Used() + w.Committed() + next)) //sc:MR2820:sensor
-			c.SetMinSpaceStart(int64(sc.Value()))                     //sc:MR2820:other
-		}
+		control(r, directStep(mustConf(mr2820Spec(), ProfileMR2820())))
 	case SinglePolePolicy, NoVirtualGoalPolicy:
-		ctrl, err := ablationController(p.Kind, ProfileMR2820(), float64(mr2820DiskGoal), p.FixedPole)
-		if err != nil {
-			panic(fmt.Sprintf("MR2820 ablation synthesis: %v", err))
-		}
-		c.BeforeSchedule = func(w *mapred.Worker, next int64) {
-			c.SetMinSpaceStart(int64(ctrl.Update(float64(w.Disk.Used() + w.Committed() + next))))
-		}
+		ctrl := ablationController(p.Kind, ProfileMR2820(), float64(mr2820DiskGoal), p.FixedPole)
+		control(r, func(perf, _ float64) float64 { return ctrl.Update(perf) })
 	}
 
-	mr2820CoTenant(s, c, rng, 550*mb, 740*mb, 40*mb, time.Hour)
+	r.coTenant(550*mb, 740*mb, 40*mb, time.Hour, nil, false)
+	probe := r.probe()
+	results := r.runJobs()
+	r.s.RunUntil(4 * time.Hour) // safety bound; jobs normally end far earlier
 
-	diskS := Series{Name: "max_disk_used", Unit: "bytes"}
-	knobS := Series{Name: "minspacestart", Unit: "bytes"}
-	s.Every(time.Second, time.Second, func() bool {
-		diskS.Points = append(diskS.Points, Point{s.Now(), float64(c.MaxDiskUsed())})
-		knobS.Points = append(knobS.Points, Point{s.Now(), float64(c.MinSpaceStart())})
-		return c.Busy() || s.Now() < 10*time.Second
-	})
-
-	// Run the job sequence back to back.
-	jobs := mr2820Jobs()
-	var results []mapred.JobResult
-	var runNext func(i int)
-	runNext = func(i int) {
-		if i >= len(jobs) {
-			s.Stop()
-			return
-		}
-		c.RunJob(jobs[i], func(r mapred.JobResult) {
-			results = append(results, r)
-			runNext(i + 1)
-		})
-	}
-	var makespan time.Duration
-	s.At(time.Second, func() { runNext(0) })
-	s.RunUntil(4 * time.Hour) // safety bound; jobs normally end far earlier
-	makespan = s.Now()
-
-	res := Result{
-		Issue:          "MR2820",
-		Policy:         p,
-		TradeoffName:   "job-sequence makespan (s)",
-		HigherIsBetter: false,
-		Tradeoff:       makespan.Seconds(),
-		Series:         []Series{diskS, knobS},
-	}
+	res := MR2820Scenario().result(p, r.s.Now().Seconds(), probe)
 	failedTasks := 0
-	for _, r := range results {
-		failedTasks += r.FailedTasks
+	for _, jr := range *results {
+		failedTasks += jr.FailedTasks
 	}
 	switch {
-	case c.OOD():
-		res.ConstraintMet = false
+	case r.c.OOD():
 		res.Violation = fmt.Sprintf("OOD (%d failed tasks)", failedTasks)
-		res.ViolatedAt = firstViolation(diskS, float64(mr2820DiskGoal))
-	case len(results) < len(jobs):
-		res.ConstraintMet = false
-		res.Violation = fmt.Sprintf("only %d/%d jobs finished", len(results), len(jobs))
+		res.ViolatedAt = firstViolation(probe.metric(), float64(mr2820DiskGoal))
+	case len(*results) < len(mr2820Jobs()):
+		res.Violation = fmt.Sprintf("only %d/%d jobs finished", len(*results), len(mr2820Jobs()))
 	default:
 		res.ConstraintMet = true
 	}

@@ -52,3 +52,12 @@ func endOf(s Series) time.Duration {
 	}
 	return s.Points[len(s.Points)-1].T
 }
+
+// okMark renders a constraint verdict the way every table does: "ok", or
+// the paper's red-cross "X".
+func okMark(met bool) string {
+	if met {
+		return "ok"
+	}
+	return "X"
+}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strings"
 	"time"
 
@@ -25,7 +26,7 @@ const DeclogCapacity = 4096
 
 // ChaosHooks carries the optional decision-log wiring into a chaos harness:
 // a capture log and/or a counterfactual perturbation for the substrate's
-// SmartConf controllers. The nil ChaosHooks means "run exactly as before".
+// SmartConf controllers. The zero ChaosHooks means "run exactly as before".
 type ChaosHooks struct {
 	Log     *declog.Log
 	Perturb declog.Perturb
@@ -33,10 +34,7 @@ type ChaosHooks struct {
 
 // confOpts renders the hooks as construction options for the harness's
 // smartconf.New/NewIndirect calls (and their crash-rebuild paths).
-func (h *ChaosHooks) confOpts() []smartconf.Option {
-	if h == nil {
-		return nil
-	}
+func (h ChaosHooks) confOpts() []smartconf.Option {
 	var opts []smartconf.Option
 	if h.Log != nil {
 		opts = append(opts, smartconf.WithDecisionLog(h.Log))
@@ -47,21 +45,13 @@ func (h *ChaosHooks) confOpts() []smartconf.Option {
 	return opts
 }
 
-// logRef returns the capture log for the harness's chaos.LoopConfig (nil-safe).
-func (h *ChaosHooks) logRef() *declog.Log {
-	if h == nil {
-		return nil
-	}
-	return h.Log
-}
-
 // RunChaosLogged executes one chaos cell with decision logging on and
 // returns both the run report and the serializable decision log. Uncached:
 // callers that want the cache go through CounterfactualChaos, whose key
 // includes the perturbation.
 func RunChaosLogged(substrate, fault string, seed int64, p declog.Perturb) (proptest.Report, declog.Envelope) {
 	log := declog.New(DeclogCapacity)
-	rep := runChaosCell(substrate, fault, seed, &ChaosHooks{Log: log, Perturb: p})
+	rep := runChaosCell(substrate, fault, seed, ChaosHooks{Log: log, Perturb: p})
 	return rep, log.Envelope(substrate, rep.Plan, seed, rep.Fingerprint)
 }
 
@@ -77,27 +67,11 @@ func RunChaosPropertyLogged(substrate string, seed int64) (proptest.Report, decl
 // log from an unknown substrate instead of panicking inside the harness
 // dispatch.
 func ValidateEnvelopeRun(env declog.Envelope) error {
-	ok := false
-	for _, s := range ChaosSubstrates() {
-		if s == env.Substrate {
-			ok = true
-			break
-		}
-	}
-	if !ok {
+	if !slices.Contains(ChaosSubstrates(), env.Substrate) {
 		return fmt.Errorf("experiments: unknown substrate %q (have %v)", env.Substrate, ChaosSubstrates())
 	}
-	if env.Plan != ChaosGenerated {
-		ok = false
-		for _, f := range ChaosFaults() {
-			if f == env.Plan {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return fmt.Errorf("experiments: unknown fault plan %q (have %v and %q)", env.Plan, ChaosFaults(), ChaosGenerated)
-		}
+	if env.Plan != ChaosGenerated && !slices.Contains(ChaosFaults(), env.Plan) {
+		return fmt.Errorf("experiments: unknown fault plan %q (have %v and %q)", env.Plan, ChaosFaults(), ChaosGenerated)
 	}
 	return nil
 }
@@ -112,7 +86,7 @@ func ReplayEnvelope(env declog.Envelope, p declog.Perturb) (proptest.Report, dec
 		return proptest.Report{}, declog.Envelope{}, err
 	}
 	log := declog.New(env.Capacity)
-	rep := runChaosCell(env.Substrate, env.Plan, env.Seed, &ChaosHooks{Log: log, Perturb: p})
+	rep := runChaosCell(env.Substrate, env.Plan, env.Seed, ChaosHooks{Log: log, Perturb: p})
 	return rep, log.Envelope(env.Substrate, rep.Plan, env.Seed, rep.Fingerprint), nil
 }
 
@@ -122,7 +96,7 @@ func ReplayEnvelope(env declog.Envelope, p declog.Perturb) (proptest.Report, dec
 // simulations on a warm disk cache).
 func CounterfactualChaos(substrate, fault string, seed int64, p declog.Perturb) proptest.Report {
 	return memoKeyed("REPLAY-"+substrate, fault+"|perturb="+p.Key(), "replay", seed, func() proptest.Report {
-		return runChaosCell(substrate, fault, seed, &ChaosHooks{Perturb: p})
+		return runChaosCell(substrate, fault, seed, ChaosHooks{Perturb: p})
 	})
 }
 

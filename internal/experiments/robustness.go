@@ -2,14 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 
-	"smartconf"
+	"smartconf/internal/core"
 	"smartconf/internal/experiments/engine"
-	"smartconf/internal/memsim"
-	"smartconf/internal/rpcserver"
 	"smartconf/internal/workload"
 )
 
@@ -60,76 +57,33 @@ func RunRobustnessSweep() []RobustnessCell {
 		policy := fmt.Sprintf("burst=%d every=%g req=%g writes=%g",
 			cell.BurstSize, cell.BurstEverySec, cell.RequestMB, cell.WriteRatio)
 		return memoKeyed("HB3813", policy, "robustness", 0, func() RobustnessCell {
-			return runRobustnessCell(publicProfile(profile), cell)
+			return runRobustnessCell(profile, cell)
 		})
 	})
 }
 
-func runRobustnessCell(profile *smartconf.Profile, cell RobustnessCell) RobustnessCell {
-	s := newScenarioSim()
+func runRobustnessCell(profile core.Profile, cell RobustnessCell) RobustnessCell {
 	// The cell spec is the scenario description, so the seed derives from it:
 	// every (BurstSize, BurstEverySec) cell replays its own fixed stream.
 	cellSeed := int64(cell.BurstSize)*1000 + int64(cell.BurstEverySec*10)
-	rng := rand.New(rand.NewSource(cellSeed))
-	heap := memsim.NewHeap(rpcHeapCapacity)
-	sv := rpcserver.New(s, heap, rpcConfig())
-	sv.SetMaxQueue(0)
+	r := newRPCRig(newScenarioSim(), cellSeed, rpcHeapCapacity, rpcConfig(), 300*time.Second)
+	r.decide(roundedStep(mustIndirect(hb3813Spec(), profile, nil)))
+	r.noise()
+	probe := r.probe(r.maxQueue, "max.queue.size")
+	phase := workload.YCSBPhase{Name: "cell", WriteRatio: cell.WriteRatio, RequestBytes: int64(cell.RequestMB * float64(mb))}
+	r.load(ycsbBursts(1, cell.BurstSize, time.Duration(cell.BurstEverySec*float64(time.Second)), 2*time.Millisecond, phase))
+	r.s.RunUntil(r.until)
 
-	ic, err := smartconf.NewIndirect(smartconf.Spec{
-		Name:   "ipc.server.max.queue.size",
-		Metric: "memory_consumption",
-		Goal:   float64(rpcMemoryGoal),
-		Hard:   true,
-		Min:    0, Max: 5000,
-	}, profile, nil)
-	if err != nil {
-		panic(err)
-	}
-	sv.BeforeAdmit = func() {
-		ic.SetPerf(float64(heap.Used()), float64(sv.QueueLen()))
-		sv.SetMaxQueue(ic.Conf())
-	}
-
-	const runTime = 300 * time.Second
-	heapNoise(s, heap, rng, rpcNoiseMax, runTime)
-	var oomAt time.Duration
-	heap.OnOOM(func() { oomAt = s.Now() })
-
-	memS := Series{Name: "used_memory"}
-	s.Every(time.Second, time.Second, func() bool {
-		memS.Points = append(memS.Points, Point{s.Now(), float64(heap.Used())})
-		return s.Now() < runTime && !heap.OOM()
-	})
-
-	w := &rpcWorkload{
-		gen: workload.NewYCSB(1, 1000, workload.YCSBPhase{
-			WriteRatio:   cell.WriteRatio,
-			RequestBytes: int64(cell.RequestMB * float64(mb)),
-		}),
-		burstSize:  cell.BurstSize,
-		burstEvery: time.Duration(cell.BurstEverySec * float64(time.Second)),
-		spacing:    2 * time.Millisecond,
-		phases: []workload.YCSBPhase{{
-			Name:         "cell",
-			WriteRatio:   cell.WriteRatio,
-			RequestBytes: int64(cell.RequestMB * float64(mb)),
-		}},
-	}
-	w.run(s, runTime, rng, func(op workload.Op) { sv.Offer(op) })
-	s.RunUntil(runTime)
-
-	met, at, worst := evalUpperBound(memS, func(time.Duration) float64 { return float64(rpcMemoryGoal) })
+	met, at, worst := evalUpperBound(probe.metric(), constGoal(float64(rpcMemoryGoal)))
 	switch {
-	case heap.OOM():
-		cell.ConstraintMet = false
-		cell.Violation = fmt.Sprintf("OOM at %.0fs", oomAt.Seconds())
+	case r.heap.OOM():
+		cell.Violation = fmt.Sprintf("OOM at %.0fs", r.oomAt.Seconds())
 	case !met:
-		cell.ConstraintMet = false
 		cell.Violation = fmt.Sprintf("memory %.0fMB at %.0fs", worst/float64(mb), at.Seconds())
 	default:
 		cell.ConstraintMet = true
 	}
-	cell.Throughput = float64(sv.Completed()) / runTime.Seconds()
+	cell.Throughput = float64(r.sv.Completed()) / r.until.Seconds()
 	return cell
 }
 
@@ -147,12 +101,8 @@ func RenderRobustness(cells []RobustnessCell) string {
 	fmt.Fprintf(&b, "%7s %9s %7s %7s %8s %10s  %s\n",
 		"burst", "every(s)", "reqMB", "writes", "OK?", "ops/s", "violation")
 	for _, c := range cells {
-		mark := "ok"
-		if !c.ConstraintMet {
-			mark = "X"
-		}
 		fmt.Fprintf(&b, "%7d %9.1f %7.1f %7.1f %8s %10.2f  %s\n",
-			c.BurstSize, c.BurstEverySec, c.RequestMB, c.WriteRatio, mark, c.Throughput, c.Violation)
+			c.BurstSize, c.BurstEverySec, c.RequestMB, c.WriteRatio, okMark(c.ConstraintMet), c.Throughput, c.Violation)
 	}
 	return b.String()
 }

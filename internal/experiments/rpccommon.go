@@ -1,20 +1,21 @@
 package experiments
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 
+	"smartconf"
+	"smartconf/internal/chaos"
 	"smartconf/internal/core"
 	"smartconf/internal/memsim"
 	"smartconf/internal/rpcserver"
 	"smartconf/internal/sim"
 	"smartconf/internal/workload"
-
-	smartconf "smartconf"
 )
 
 // Shared machinery for the RPC-server scenarios (HB3813, HB6728, and the
-// Figure 6–8 case studies).
+// Figure 6–8 case studies) and the scoring helpers every scenario uses.
 
 const (
 	mb = int64(1) << 20
@@ -48,6 +49,14 @@ type rpcWorkload struct {
 	// the controller can react while one is arriving.
 	spacing time.Duration
 	phases  []workload.YCSBPhase
+	// env, when set, scales every burst by the chaos plan's surge factor.
+	env *chaos.Env
+}
+
+// ycsbBursts builds a burst workload whose generator starts in phases[0].
+func ycsbBursts(seed int64, size int, every, spacing time.Duration, phases ...workload.YCSBPhase) *rpcWorkload {
+	return &rpcWorkload{gen: workload.NewYCSB(seed, 1000, phases[0]), burstSize: size,
+		burstEvery: every, spacing: spacing, phases: phases}
 }
 
 // run starts the burst loop and the phase switcher; onOp receives each
@@ -61,7 +70,8 @@ func (w *rpcWorkload) run(s *sim.Simulation, until time.Duration, rng *rand.Rand
 		if phase, _ := workload.PhaseAt(w.phases, s.Now()); phase.Name != w.gen.Phase().Name {
 			w.gen.SetPhase(phase)
 		}
-		n := w.burstSize + rng.Intn(w.burstSize/5+1) - w.burstSize/10 // ±10%
+		size := int(float64(w.burstSize) * w.env.SurgeFactor())
+		n := size + rng.Intn(size/5+1) - size/10 // ±10%
 		for i := 0; i < n; i++ {
 			op := w.gen.NextOp()
 			s.After(time.Duration(i)*spacing, func() { onOp(op) })
@@ -99,70 +109,154 @@ func heapNoise(s *sim.Simulation, heap *memsim.Heap, rng *rand.Rand, max int64, 
 	})
 }
 
-// rpcProbe samples the scenario's time series once per second.
-type rpcProbe struct {
-	mem        Series
-	knob       Series
-	throughput Series
-	completed  Series
+// rpcRig is the RPC server substrate wired once for every harness that runs
+// it (HB3813, HB6728, SLA, distributed, robustness, Figures 6-8, AIMD, the
+// chaos matrix): the simulation, heap and server; the HB3813 queue bound's
+// sensor and actuator; the admission hook a controller attaches to; the
+// heap noise and burst load; and the probe.
+type rpcRig struct {
+	s     *sim.Simulation
+	rng   *rand.Rand // shared by the heap noise and the burst jitter
+	heap  *memsim.Heap
+	sv    *rpcserver.Server
+	until time.Duration
+	oomAt time.Duration
 }
 
-func startRPCProbe(s *sim.Simulation, heap *memsim.Heap, sv *rpcserver.Server, knob func() float64, knobName string, until time.Duration) *rpcProbe {
-	p := &rpcProbe{
-		mem:        Series{Name: "used_memory", Unit: "bytes"},
-		knob:       Series{Name: knobName, Unit: "items"},
-		throughput: Series{Name: "throughput", Unit: "ops/s"},
-		completed:  Series{Name: "completed_ops", Unit: "ops"},
-	}
-	s.Every(time.Second, time.Second, func() bool {
-		now := s.Now()
-		p.mem.Points = append(p.mem.Points, Point{now, float64(heap.Used())})
-		p.knob.Points = append(p.knob.Points, Point{now, knob()})
-		p.throughput.Points = append(p.throughput.Points, Point{now, sv.Throughput()})
-		p.completed.Points = append(p.completed.Points, Point{now, float64(sv.Completed())})
-		return now < until && !heap.OOM()
-	})
+// newRPCRig builds a rig on s; cluster nodes share one simulation.
+func newRPCRig(s *sim.Simulation, seed, heapBytes int64, cfg rpcserver.Config, until time.Duration) *rpcRig {
+	r := &rpcRig{s: s, rng: rand.New(rand.NewSource(seed)), heap: memsim.NewHeap(heapBytes), until: until}
+	r.sv = rpcserver.New(s, r.heap, cfg)
+	r.heap.OnOOM(func() { r.oomAt = s.Now() })
+	return r
+}
+
+// sense reads the hard memory metric and its deputy, the queue length.
+func (r *rpcRig) sense() (perf, deputy float64) {
+	return float64(r.heap.Used()), float64(r.sv.QueueLen()) //sc:HB3813:sensor
+}
+
+func (r *rpcRig) actuate(v float64) { r.sv.SetMaxQueue(int(v)) } //sc:HB3813:invoke
+
+// attach runs tick at every admission, before the queue bound is checked.
+func (r *rpcRig) attach(tick func()) { r.sv.BeforeAdmit = tick }
+
+// decide attaches a controller that maps each (memory, queue length)
+// sample to the next queue bound, starting from the paper's deliberately
+// poor bound 0 (Fig. 6c).
+func (r *rpcRig) decide(next stepFunc) {
+	r.sv.SetMaxQueue(0)
+	control(r, next)
+}
+
+func (r *rpcRig) noise() { heapNoise(r.s, r.heap, r.rng, rpcNoiseMax, r.until) }
+
+// load starts a burst workload against the server.
+func (r *rpcRig) load(w *rpcWorkload) {
+	w.run(r.s, r.until, r.rng, func(op workload.Op) { r.sv.Offer(op) })
+}
+
+func (r *rpcRig) maxQueue() float64 { return float64(r.sv.MaxQueue()) }
+
+func (r *rpcRig) probe(knob func() float64, knobName string) *probe {
+	p := &probe{}
+	p.track("used_memory", "bytes", func() float64 { return float64(r.heap.Used()) })
+	p.track(knobName, "items", knob)
+	p.start(r.s, func() bool { return r.s.Now() < r.until && !r.heap.OOM() })
 	return p
+}
+
+// result runs to the horizon and scores the run: completed ops/s against
+// the memory goal. The figures' throughput series join the probe before
+// its first tick.
+func (r *rpcRig) result(sc Scenario, p Policy, probe *probe, goalAt func(time.Duration) float64) Result {
+	probe.track("throughput", "ops/s", r.sv.Throughput)
+	probe.track("completed_ops", "ops", func() float64 { return float64(r.sv.Completed()) })
+	r.s.RunUntil(r.until)
+	res := sc.result(p, float64(r.sv.Completed())/r.until.Seconds(), probe)
+	judgeMemory(&res, r.heap.OOM(), r.oomAt, probe.metric(), goalAt)
+	return res
+}
+
+// judgeMemory sets res's verdict against a hard memory goal: an OOM first,
+// else the first sample above goalAt.
+func judgeMemory(res *Result, oom bool, oomAt time.Duration, mem Series, goalAt func(time.Duration) float64) {
+	met, at, worst := evalUpperBound(mem, goalAt)
+	switch {
+	case oom:
+		res.ViolatedAt = oomAt
+		res.Violation = "OOM"
+	case !met:
+		res.ViolatedAt = at
+		res.Violation = fmt.Sprintf("memory %.0fMB > goal %.0fMB", worst/float64(mb), goalAt(at)/float64(mb))
+	default:
+		res.ConstraintMet = true
+	}
+}
+
+// judgeSoft sets res's verdict against a soft goal on series, with the 5%
+// measurement slack soft goals are judged with (the paper's soft goals are
+// not overshoot-free).
+func judgeSoft(res *Result, series Series, goalAt func(time.Duration) float64, label string) {
+	met, at, worst := evalUpperBound(series, func(t time.Duration) float64 { return goalAt(t) * 1.05 })
+	res.ConstraintMet = met
+	if !met {
+		res.ViolatedAt = at
+		res.Violation = fmt.Sprintf("%s %.1fs > goal %.1fs", label, worst, goalAt(at))
+	}
+}
+
+func constGoal(g float64) func(time.Duration) float64 {
+	return func(time.Duration) float64 { return g }
+}
+
+// goalChange is a goal that steps from before to after at t = at: a
+// mid-run setGoal, judged after the controller's settling window.
+func goalChange(before, after float64, at time.Duration) func(time.Duration) float64 {
+	return func(t time.Duration) float64 {
+		if t < at {
+			return before
+		}
+		return after
+	}
 }
 
 // ablationController builds the Figure 7 controllers from the same
 // profiling data SmartConf synthesizes from. fixedPole > 0 pins the regular
 // pole (the paper uses 0.9 so two-pole switching is the only difference
 // between SmartConf and the single-pole baseline).
-func ablationController(kind PolicyKind, profile core.Profile, goal, fixedPole float64) (*core.Controller, error) {
+func ablationController(kind PolicyKind, profile core.Profile, goal, fixedPole float64) *core.Controller {
 	model, err := profile.Fit()
 	if err != nil {
-		return nil, err
+		panic(fmt.Sprintf("ablation synthesis: %v", err))
 	}
 	pole := core.PoleFromDelta(profile.Delta())
 	if fixedPole > 0 {
 		pole = fixedPole
 	}
-	lambda := profile.Lambda()
+	target, hard, lambda := goal, true, profile.Lambda()
 	switch kind {
 	case SmartConfPolicy:
 		// Full SmartConf with a pinned regular pole: hard goal ⇒ virtual
 		// goal + danger-region pole 0.
-		return core.NewController(model, pole, lambda,
-			core.Goal{Metric: "memory", Target: goal, Hard: true},
-			core.Options{Min: 0, Max: 1e9})
 	case SinglePolePolicy:
 		// Same virtual goal as SmartConf, but the regular pole everywhere:
 		// model it as a SOFT goal whose target is the virtual goal (no
 		// danger-region switch ever happens).
-		target := core.VirtualGoal(goal, lambda, core.UpperBound)
-		return core.NewController(model, pole, lambda,
-			core.Goal{Metric: "memory", Target: target, Hard: false},
-			core.Options{Min: 0, Max: 1e9})
+		target, hard = core.VirtualGoal(goal, lambda, core.UpperBound), false
 	case NoVirtualGoalPolicy:
 		// Two-pole logic but targeting the REAL constraint: λ = 0 places the
 		// virtual goal exactly on the goal.
-		return core.NewController(model, pole, 0,
-			core.Goal{Metric: "memory", Target: goal, Hard: true},
-			core.Options{Min: 0, Max: 1e9})
+		lambda = 0
 	default:
-		return nil, nil
+		return nil
 	}
+	ctrl, err := core.NewController(model, pole, lambda,
+		core.Goal{Metric: "memory", Target: target, Hard: hard}, core.Options{Min: 0, Max: 1e9})
+	if err != nil {
+		panic(fmt.Sprintf("ablation synthesis: %v", err))
+	}
+	return ctrl
 }
 
 // publicProfile converts an internal profile to the public API type.
@@ -191,6 +285,3 @@ func evalUpperBound(series Series, goalAt func(t time.Duration) float64) (met bo
 	}
 	return met, at, worst
 }
-
-// core_PoleForTest exposes the synthesized pole for test logging.
-func core_PoleForTest(p core.Profile) float64 { return core.PoleFromDelta(p.Delta()) }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"smartconf/internal/core"
 	"smartconf/internal/experiments/engine"
@@ -41,13 +42,6 @@ func runCached(sc Scenario, p Policy) Result {
 		func() Result { return sc.Run(p) })
 }
 
-// memoResult memoizes an arbitrary Result-producing run under an explicit
-// schedule tag — used by the ablation and figure drivers whose workloads
-// deviate from the scenario's standard one.
-func memoResult(scenario, policy, schedule string, seed int64, run func() Result) Result {
-	return memoKeyed(scenario, policy, schedule, seed, run)
-}
-
 // memoKeyed memoizes an arbitrary typed run under the full
 // (scenario, policy, seed, schedule) tuple — the generic adapter behind
 // drivers whose cached value is not a plain Result (ablation rows,
@@ -58,34 +52,48 @@ func memoKeyed[T any](scenario, policy, schedule string, seed int64, run func() 
 	return engine.Memo(engine.Key{Scenario: scenario, Policy: policy, Seed: seed, Schedule: schedule}, run)
 }
 
-// memoProfile memoizes a profiling campaign. Profiles are read-only after
-// construction (value-receiver accessors; publicProfile copies the samples),
-// so one core.Profile is safely shared by every consumer.
-func memoProfile(name string, f func() core.Profile) core.Profile {
-	return engine.Memo(engine.Key{Scenario: name, Schedule: "profile"}, f)
-}
-
-// profileSweep fans a profiling campaign's per-setting runs across the
-// worker pool. Each pinned setting runs in its own simulation recording into
-// a private collector; samples are then merged in settings order, which
-// reproduces the sequential campaign's Profile exactly (samples within one
-// recorded setting keep their temporal order, and Collector.Profile sorts
-// across settings).
-func profileSweep(settings []float64, runSetting func(setting float64, record func(setting, measurement float64))) core.Profile {
-	partials := engine.Map(len(settings), func(i int) core.Profile {
-		col := core.NewCollector()
-		runSetting(settings[i], col.Record)
-		return col.Profile()
-	})
-	merged := core.NewCollector()
-	for _, p := range partials {
-		for _, sp := range p.Settings {
-			for _, v := range sp.Samples {
-				merged.Record(sp.Setting, v)
+// profileSweep runs the named profiling campaign once process-wide,
+// fanning its per-setting runs across the worker pool. Each pinned setting
+// runs in its own simulation recording into a private collector; samples
+// are then merged in settings order, which reproduces the sequential
+// campaign's Profile exactly (samples within one recorded setting keep
+// their temporal order, and Collector.Profile sorts across settings).
+// Profiles are read-only after construction (value-receiver accessors;
+// publicProfile copies the samples), so one core.Profile is safely shared
+// by every consumer.
+func profileSweep(name string, settings []float64, runSetting func(setting float64, record func(setting, measurement float64))) core.Profile {
+	return engine.Memo(engine.Key{Scenario: name, Schedule: "profile"}, func() core.Profile {
+		partials := engine.Map(len(settings), func(i int) core.Profile {
+			col := core.NewCollector()
+			runSetting(settings[i], col.Record)
+			return col.Profile()
+		})
+		merged := core.NewCollector()
+		for _, p := range partials {
+			for _, sp := range p.Settings {
+				for _, v := range sp.Samples {
+					merged.Record(sp.Setting, v)
+				}
 			}
 		}
-	}
-	return merged.Profile()
+		return merged.Profile()
+	})
+}
+
+// sampleTen takes a profiling run's ten time-driven samples, one per
+// interval from start: measure returns the (setting, measurement) pair to
+// record, or ok=false to skip the tick.
+func sampleTen(s *sim.Simulation, start, interval time.Duration, record func(setting, measurement float64), measure func() (x, y float64, ok bool)) {
+	taken := 0
+	s.Every(start, interval, func() bool {
+		if taken < 10 {
+			if x, y, ok := measure(); ok {
+				record(x, y)
+				taken++
+			}
+		}
+		return taken < 10
+	})
 }
 
 // ScenarioVersion stamps every persistent cache entry with the generation of

@@ -4,10 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"smartconf"
-	"smartconf/internal/dfs"
-	"smartconf/internal/kvstore"
-	"smartconf/internal/memsim"
 	"smartconf/internal/workload"
 )
 
@@ -18,21 +14,15 @@ import (
 // gated hook must hold the Initial fraction until a real measurement exists,
 // then act on the first real one.
 func TestHB2149SensorIgnoresPhantomFirstSample(t *testing.T) {
-	s := newScenarioSim()
-	heap := memsim.NewHeap(2 << 30)
-	st := kvstore.NewMemstore(s, heap, hb2149Config(), 0.5)
-	sc, err := smartconf.New(smartconf.Spec{
-		Name:    "global.memstore.lowerLimit",
-		Metric:  "write_block_time",
-		Goal:    hb2149Goal1,
-		Initial: 0.5,
-		Min:     0.01, Max: 1,
-	}, publicProfile(ProfileHB2149()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hook := hb2149Sensor(st, sc)
-	st.BeforeFlush = hook
+	r := newMemstoreRig(time.Hour)
+	s, st := r.s, r.st
+	sc := mustConf(hb2149Spec(), ProfileHB2149())
+	r.attach(func() {
+		perf, _ := r.sense()
+		sc.SetPerf(perf)
+		r.actuate(sc.Value())
+	})
+	hook := st.BeforeFlush
 
 	// Drive the profiled write workload until the first flush completes.
 	gen := workload.NewYCSB(2149, 1000, workload.YCSBPhase{WriteRatio: 1, RequestBytes: 1 * mb})
@@ -63,20 +53,14 @@ func TestHB2149SensorIgnoresPhantomFirstSample(t *testing.T) {
 // Initial limit through the first chunk; from the second chunk on the
 // controller acts on real holds.
 func TestHD4995SensorIgnoresPhantomFirstSample(t *testing.T) {
-	s := newScenarioSim()
-	nn := dfs.New(s, hd4995Config(), 1)
-	ic, err := smartconf.NewIndirect(smartconf.Spec{
-		Name:    "content-summary.limit",
-		Metric:  "writer_block_time",
-		Goal:    hd4995Goal1,
-		Initial: 1,
-		Min:     1, Max: 1e7,
-	}, publicProfile(ProfileHD4995()), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hook := hd4995Sensor(nn, ic)
-	nn.BeforeChunk = hook
+	r := newDFSRig(4995, time.Hour)
+	s, nn := r.s, r.nn
+	ic := mustIndirect(hd4995Spec(), ProfileHD4995(), nil)
+	r.attach(func() {
+		ic.SetPerf(r.sense())
+		r.actuate(float64(ic.Conf()))
+	})
+	hook := nn.BeforeChunk
 
 	// Before any hold has completed the hook must be a no-op.
 	hook()

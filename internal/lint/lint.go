@@ -24,6 +24,8 @@
 //     through fn.
 //   - seedflow: rand.NewSource seeds in simulation-reachable packages must
 //     derive from a seed parameter/field or a non-zero constant.
+//   - unused: unexported package-level funcs, methods, types, vars and
+//     consts must have a reference from non-test code.
 //
 // The framework is a deliberately small stand-in for
 // golang.org/x/tools/go/analysis (which this module does not depend on):
@@ -199,6 +201,7 @@ func Analyzers() []*Analyzer {
 		HotAllocAnalyzer,
 		ConfBoundsAnalyzer,
 		SeedFlowAnalyzer,
+		UnusedAnalyzer,
 	}
 }
 

@@ -199,6 +199,10 @@ func TestSeedFlowAnalyzer(t *testing.T) {
 // TestCollectAllowSites pins the -allows audit surface: every suppression
 // comment is reported, including the reason-less one that analysis itself
 // ignores.
+func TestUnusedAnalyzer(t *testing.T) {
+	runAnalyzerTest(t, lint.UnusedAnalyzer, "lint.test/unused")
+}
+
 func TestCollectAllowSites(t *testing.T) {
 	fset := token.NewFileSet()
 	pkg, err := newTestImporter(fset).load("lint.test/hotalloc")

@@ -298,12 +298,6 @@ func (sv *Server) WaitingLimit() int { return sv.waitingLimit }
 // ResidentTokens returns the tokens currently holding KV cache.
 func (sv *Server) ResidentTokens() int { return sv.residentTokens }
 
-// KVBytes returns the KV-cache footprint in bytes — the deputy variable of
-// the max.num.batched.tokens controller.
-func (sv *Server) KVBytes() int64 {
-	return int64(sv.residentTokens) * sv.cfg.KVBytesPerToken
-}
-
 // PromptTokens returns the batch's admitted prompt tokens — the quantity
 // admission compares against the batch bound.
 func (sv *Server) PromptTokens() int { return sv.promptTokens }

@@ -8,7 +8,6 @@ type Option func(*options)
 type options struct {
 	alert          AlertFunc
 	alertThreshold int
-	trace          TraceFunc
 	declog         *declog.Log
 	perturb        *declog.Perturb
 }
@@ -41,9 +40,14 @@ func WithAlertThreshold(n int) Option {
 }
 
 // WithDecisionLog makes the configuration record every controller decision
-// into l (registered under the Spec name). The log is a fixed-capacity,
-// zero-allocation ring cheap enough to stay on in production; serialize it
-// with declog.Encode and feed the file to cmd/smartconf-replay.
+// into l (registered under the Spec name): what it sensed, the error, the
+// pole, the raw and applied setting, and why a bound clamped it. It is how
+// an operator learns WHY a knob moved — the paper's HDFS-4618 epigraph: "I
+// don't know what idiot set this to that.. oh wait, it was me..." — with
+// SmartConf the answer is a controller, and the log shows its reasoning.
+// The log is a fixed-capacity, zero-allocation ring cheap enough to stay on
+// in production; serialize it with declog.Encode and feed the file to
+// cmd/smartconf-replay.
 func WithDecisionLog(l *declog.Log) Option {
 	return func(o *options) { o.declog = l }
 }
